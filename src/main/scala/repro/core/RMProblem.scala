@@ -39,10 +39,10 @@ final class RMProblem(
   def withOracle(o: RevenueOracle): RMProblem = new RMProblem(o, budgets, costs)
 
   /** π_i({u}) for every element, used by feasibility filters and γ_max.
-    * Computed once per problem; O(Σ incidences) for the RR oracle.
+    * Computed once per problem; O(h·n) for the RR oracle.
     */
   lazy val singletonPi: Array[Array[Double]] =
-    Array.tabulate(h)(i => Array.tabulate(n)(u => oracle.piOf(i, Seq(u))))
+    Array.tabulate(h)(i => Array.tabulate(n)(u => oracle.piSingle(i, u)))
 
   /** Is element (u,i) individually budget-feasible: `c_i(u)+π_i({u}) ≤ B_i`? */
   def elementFeasible(i: Int, u: Int): Boolean =

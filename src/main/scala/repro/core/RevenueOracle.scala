@@ -23,6 +23,9 @@ trait RevenueOracle {
   /** `π_i(X)` evaluated from scratch for an arbitrary seed set `X`. */
   def piOf(i: Int, xs: Iterable[Int]): Double
 
+  /** `π_i({u})`, the singleton revenue; implementations may answer it faster. */
+  def piSingle(i: Int, u: Int): Double = piOf(i, Seq(u))
+
   /** Fresh incremental session starting from the empty allocation. */
   def newSession(): RevenueSession
 

@@ -41,15 +41,17 @@ object ForwardSim {
     val batches = math.max(1, (trials + 63) / 64)
     val sc = spark.sparkContext
 
+    // Vertices take the edges' partition count: fewer tasks per Pregel superstep.
+    val parts = math.max(1, g.m / 200000 + 1)
     val edges = sc.parallelize(
-      (0 until g.m).map(e => Edge(g.src(e).toLong, g.dst(e).toLong, e)),
-      math.max(1, g.m / 200000 + 1))
-    val vertices = sc.parallelize((0 until g.n).map(v => (v.toLong, ())))
-    val base = Graph(vertices, edges)
+      (0 until g.m).map(e => Edge(g.src(e).toLong, g.dst(e).toLong, e)), parts)
+    val vertices = sc.parallelize((0 until g.n).map(v => (v.toLong, ())), parts)
+    // Built once and reused by every batch, rather than recomputed per batch.
+    val base = Graph(vertices, edges).cache()
 
     var total = 0.0
     var b = 0
-    while (b < batches) {
+    try while (b < batches) {
       val batchSeed = seed * 131 + b
       // Precommit each edge's 64-trial live-mask.
       val world = base.mapEdges { e =>
@@ -78,7 +80,7 @@ object ForwardSim {
       res.unpersist(false)
       world.unpersist(false)
       b += 1
-    }
+    } finally base.unpersist(false)
     total / batches
   }
 }

@@ -1,6 +1,7 @@
 package repro.rrset
 
 import repro.core.{RevenueOracle, RevenueSession}
+import RRCollection._
 
 /** A collection of tagged Reverse-Reachable sets with flat int-array storage,
   * per-(advertiser, node) inverted index, and incremental coverage sessions.
@@ -15,10 +16,23 @@ import repro.core.{RevenueOracle, RevenueSession}
   * The collection is growable (RMA doubles it) and the index is rebuilt after
   * appends. With `h = 1` the same class serves as a per-advertiser collection
   * for the TIM-based baselines.
+  *
+  * Invariant: no RR set lists a member twice (the samplers mark visited
+  * nodes), so a node's tag-i index list names distinct sets and its length
+  * is the node's singleton coverage count.
+  *
+  * Declared limits, checked with a message before anything could wrap:
+  * h < 128 (the tag is a `Byte`); h·n, the set count and the incidence count
+  * within [[RRCollection.MaxArrayLength]] (index keys and offsets are `Int`).
   */
 final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueOracle {
 
   val h: Int = cpeArr.length
+  require(h < 128, s"$h advertisers: an RR set's advertiser tag is a Byte, so h must be below 128")
+  require(h.toLong * n < MaxArrayLength,
+    s"h·n = ${h.toLong * n}: the inverted index is keyed by i·n+u in an Int array, " +
+      s"so h·n must be below $MaxArrayLength")
+
   def cpe(i: Int): Double = cpeArr(i)
 
   /** Γ = Σ_i cpe(i). */
@@ -37,18 +51,30 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
   /** Revenue contribution of one covered set: `nΓ/|R|`. */
   def scalePerSet: Double = n.toDouble * gamma / _numSets
 
-  /** Append one RR set. Invalidates the index until [[rebuildIndex]]. */
-  def add(tag: Int, nodes: Array[Int], len: Int): Unit = {
-    if (_numSets + 1 >= tags.length) {
-      val cap = tags.length * 2
+  /** Make room for `moreSets` further sets holding `moreNodes` incidences,
+    * failing before any count or offset could pass the declared limits.
+    */
+  def reserve(moreSets: Int, moreNodes: Long): Unit = {
+    val sets = _numSets.toLong + moreSets
+    val nodes = _totalNodes.toLong + moreNodes
+    if (sets >= MaxArrayLength)
+      throw new IllegalStateException(
+        s"RR collection would hold $sets sets; the limit is ${MaxArrayLength - 1}")
+    if (nodes > MaxArrayLength)
+      throw new IllegalStateException(
+        s"RR collection would hold $nodes incidences; the limit is $MaxArrayLength")
+    if (sets > tags.length) {
+      val cap = grownCapacity(tags.length, sets, MaxArrayLength - 1)
       tags = java.util.Arrays.copyOf(tags, cap)
       starts = java.util.Arrays.copyOf(starts, cap + 1)
     }
-    if (_totalNodes + len > members.length) {
-      var cap = members.length
-      while (cap < _totalNodes + len) cap *= 2
-      members = java.util.Arrays.copyOf(members, cap)
-    }
+    if (nodes > members.length)
+      members = java.util.Arrays.copyOf(members, grownCapacity(members.length, nodes, MaxArrayLength))
+  }
+
+  /** Append one RR set. Invalidates the index until [[rebuildIndex]]. */
+  def add(tag: Int, nodes: Array[Int], len: Int): Unit = {
+    reserve(1, len.toLong)
     System.arraycopy(nodes, 0, members, _totalNodes, len)
     tags(_numSets) = tag.toByte
     _numSets += 1
@@ -57,15 +83,25 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
     indexValid = false
   }
 
-  /** Append a packed batch: per-set tags and sizes plus concatenated members. */
+  /** Append a packed batch: per-set tags and sizes plus concatenated members,
+    * with one bulk copy of the tags and one of the members.
+    */
   def addPacked(batchTags: Array[Byte], sizes: Array[Int], nodes: Array[Int]): Unit = {
-    var off = 0
+    val k = batchTags.length
+    require(sizes.length == k, s"${sizes.length} sizes for $k tags")
+    var total = 0L
     var s = 0
-    while (s < batchTags.length) {
-      add(batchTags(s), java.util.Arrays.copyOfRange(nodes, off, off + sizes(s)), sizes(s))
-      off += sizes(s)
-      s += 1
-    }
+    while (s < k) { total += sizes(s); s += 1 }
+    reserve(k, total)
+    require(total == nodes.length, s"sizes sum to $total but the batch has ${nodes.length} members")
+    System.arraycopy(batchTags, 0, tags, _numSets, k)
+    System.arraycopy(nodes, 0, members, _totalNodes, nodes.length)
+    var end = _totalNodes
+    s = 0
+    while (s < k) { end += sizes(s); starts(_numSets + s + 1) = end; s += 1 }
+    _numSets += k
+    _totalNodes = end
+    indexValid = false
   }
 
   def tagOf(sid: Int): Int = tags(sid)
@@ -82,39 +118,71 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
   private var idxSets: Array[Int] = _
   private var indexValid = false
 
-  /** Rebuild the inverted index after appends. O(total incidences). */
+  /** Rebuild the inverted index after appends: a stable counting sort of all
+    * incidences by key `i·n+u`, O(total incidences). The sets are cut into
+    * chunks whose size depends on `numSets` only. Each chunk counts its keys
+    * in parallel; one sequential pass over (key, chunk) turns the counts into
+    * write offsets, placing a chunk's sids after those of earlier chunks; each
+    * chunk then scatters in parallel. So every key's sids are ascending and
+    * the index is the same for any thread count.
+    */
   def rebuildIndex(): Unit = {
-    val heads = new Array[Int](h * n + 1)
-    var sid = 0
-    while (sid < _numSets) {
-      val i = tags(sid)
-      var p = starts(sid)
-      val end = starts(sid + 1)
-      while (p < end) { heads(i * n + members(p) + 1) += 1; p += 1 }
-      sid += 1
-    }
-    var k = 0
-    while (k < h * n) { heads(k + 1) += heads(k); k += 1 }
-    val sets = new Array[Int](_totalNodes)
-    val pos = java.util.Arrays.copyOf(heads, h * n)
-    sid = 0
-    while (sid < _numSets) {
-      val i = tags(sid)
-      var p = starts(sid)
-      val end = starts(sid + 1)
-      while (p < end) {
-        val key = i * n + members(p)
-        sets(pos(key)) = sid
-        pos(key) += 1
-        p += 1
+    val keys = h * n
+    val chunkSets = math.max(IndexChunkSets, ((_numSets.toLong + IndexMaxChunks - 1) / IndexMaxChunks).toInt)
+    val chunks = math.max(1, ((_numSets.toLong + chunkSets - 1) / chunkSets).toInt)
+    val offsets = new Array[Array[Int]](chunks)
+    inParallel(chunks) { c =>
+      val cnt = new Array[Int](keys)
+      var sid = c * chunkSets
+      val last = math.min(_numSets.toLong, sid.toLong + chunkSets).toInt
+      while (sid < last) {
+        val base = tags(sid) * n
+        var p = starts(sid)
+        val end = starts(sid + 1)
+        while (p < end) { cnt(base + members(p)) += 1; p += 1 }
+        sid += 1
       }
-      sid += 1
+      offsets(c) = cnt
+    }
+    val heads = new Array[Int](keys + 1)
+    var acc = 0
+    var k = 0
+    while (k < keys) {
+      heads(k) = acc
+      var c = 0
+      while (c < chunks) { val x = offsets(c)(k); offsets(c)(k) = acc; acc += x; c += 1 }
+      k += 1
+    }
+    heads(keys) = acc
+    val sets = new Array[Int](_totalNodes)
+    inParallel(chunks) { c =>
+      val pos = offsets(c)
+      var sid = c * chunkSets
+      val last = math.min(_numSets.toLong, sid.toLong + chunkSets).toInt
+      while (sid < last) {
+        val base = tags(sid) * n
+        var p = starts(sid)
+        val end = starts(sid + 1)
+        while (p < end) {
+          val key = base + members(p)
+          sets(pos(key)) = sid
+          pos(key) += 1
+          p += 1
+        }
+        sid += 1
+      }
     }
     idxHead = heads
     idxSets = sets
     stamps = new Array[Int](_numSets)
     stampCur = 0
     indexValid = true
+  }
+
+  /** The index list of (u, i): the tag-i sets containing u, ascending. */
+  private[rrset] def setsContaining(u: Int, i: Int): Array[Int] = {
+    ensureIndex()
+    java.util.Arrays.copyOfRange(idxSets, idxHead(i * n + u), idxHead(i * n + u + 1))
   }
 
   private def ensureIndex(): Unit = if (!indexValid) rebuildIndex()
@@ -130,6 +198,11 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
     ensureIndex()
     scalePerSet * singletonCount(u, i) / cpeArr(i)
   }
+
+  /** `π̃_i({u})` in O(1): u's tag-i list length times the scale. Equal to
+    * `piOf(i, Seq(u))` because no set lists a member twice.
+    */
+  override def piSingle(i: Int, u: Int): Double = singletonCount(u, i) * scalePerSet
 
   // reusable stamp buffer for from-scratch evaluations (driver-side only)
   private var stamps: Array[Int] = new Array[Int](0)
@@ -189,4 +262,22 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
 
     def pi(i: Int): Double = coveredPerAd(i) * rr.scalePerSet
   }
+}
+
+object RRCollection {
+
+  /** The longest array every JVM allocates; bounds sets, incidences and h·n. */
+  val MaxArrayLength: Int = Int.MaxValue - 8
+
+  /** Sets per index-build chunk, unless that makes more than [[IndexMaxChunks]]. */
+  private val IndexChunkSets = 1 << 16
+  private val IndexMaxChunks = 16
+
+  /** Doubled capacity, at least `need` and at most `max`. */
+  private def grownCapacity(cur: Int, need: Long, max: Int): Int =
+    math.max(need, math.min(2L * cur, max.toLong)).toInt
+
+  /** Run `body(0 until tasks)` on the common fork-join pool; returns when all are done. */
+  private def inParallel(tasks: Int)(body: Int => Unit): Unit =
+    java.util.stream.IntStream.range(0, tasks).parallel().forEach(c => body(c))
 }

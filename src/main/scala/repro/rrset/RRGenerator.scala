@@ -66,7 +66,7 @@ final class RRSamplerState(
       } else if (mp(v) > 0) {
         val pmax = mp(v)
         val logq = math.log1p(-pmax)
-        var p = begin + math.floor(math.log(rng.nextDouble()) / logq).toInt
+        var p = RRSamplerState.jump(begin, end, rng, logq)
         while (p < end) {
           val pe = probs(p)
           // thinning: candidate succeeds with pe/pmax
@@ -74,7 +74,7 @@ final class RRSamplerState(
             val u = revSrc(p)
             if (stamp(u) != cur) { stamp(u) = cur; queue(tail) = u; tail += 1 }
           }
-          p += 1 + math.floor(math.log(rng.nextDouble()) / logq).toInt
+          p = RRSamplerState.jump(p + 1, end, rng, logq)
         }
       }
     }
@@ -83,27 +83,47 @@ final class RRSamplerState(
 }
 
 object RRSamplerState {
+
+  /** `from` plus a Geometric(1 - e^logq) number of failures, clamped to
+    * `end`: the skip is taken in `Long`, so a tiny pmax (a skip past
+    * `Int.MaxValue`) ends the scan instead of wrapping negative.
+    */
+  private def jump(from: Int, end: Int, rng: SplittableRandom, logq: Double): Int = {
+    val skip = math.floor(math.log(rng.nextDouble()) / logq).toLong
+    if (skip >= end - from) end else from + skip.toInt
+  }
+
+  /** Advertisers whose `model.prob(i)` is the same array share one
+    * reverse-CSR probability array and one `maxP` table (Weighted Cascade
+    * gives every advertiser the same array).
+    */
   def apply(model: InfluenceModel, cpe: Array[Double]): RRSamplerState = {
     val g = model.graph
     val h = cpe.length
-    val probRev = Array.tabulate(h) { i =>
-      val byEdge = model.prob(i)
-      val out = new Array[Double](g.m)
-      var p = 0
-      while (p < g.m) { out(p) = byEdge(g.revEdge(p)); p += 1 }
-      out
-    }
-    val maxP = Array.tabulate(h) { i =>
-      val out = new Array[Double](g.n)
-      var v = 0
-      while (v < g.n) {
-        var p = g.revHead(v)
-        var mx = 0.0
-        while (p < g.revHead(v + 1)) { if (probRev(i)(p) > mx) mx = probRev(i)(p); p += 1 }
-        out(v) = mx
-        v += 1
+    val byEdge = Array.tabulate(h)(model.prob)
+    val owner = Array.tabulate(h)(i => byEdge.indexWhere(_ eq byEdge(i)))
+    val probRev = new Array[Array[Double]](h)
+    val maxP = new Array[Array[Double]](h)
+    for (i <- 0 until h) {
+      if (owner(i) < i) {
+        probRev(i) = probRev(owner(i))
+        maxP(i) = maxP(owner(i))
+      } else {
+        val rev = new Array[Double](g.m)
+        var p = 0
+        while (p < g.m) { rev(p) = byEdge(i)(g.revEdge(p)); p += 1 }
+        val mp = new Array[Double](g.n)
+        var v = 0
+        while (v < g.n) {
+          p = g.revHead(v)
+          var mx = 0.0
+          while (p < g.revHead(v + 1)) { if (rev(p) > mx) mx = rev(p); p += 1 }
+          mp(v) = mx
+          v += 1
+        }
+        probRev(i) = rev
+        maxP(i) = mp
       }
-      out
     }
     val cum = new Array[Double](h)
     var acc = 0.0
@@ -165,6 +185,7 @@ final class RRSource(spark: SparkSession, model: InfluenceModel,
         (tags, sizes, java.util.Arrays.copyOf(nodesBuf, nodesLen))
       }
       .collect()
+    coll.reserve(num, batches.iterator.map(_._3.length.toLong).sum)
     batches.foreach { case (t, s, nd) => coll.addPacked(t, s, nd) }
     coll.rebuildIndex()
   }

@@ -28,6 +28,18 @@ class RMProblemSpec extends AnyFunSuite {
       assert(math.abs(prob.singletonPi(i)(u) - prob.oracle.piOf(i, Seq(u))) < 1e-12)
   }
 
+  test("singletonPi over an RR collection equals piOf exactly") {
+    val rng = new java.util.SplittableRandom(3)
+    val c = new repro.rrset.RRCollection(12, Array(1.0, 2.5, 0.7))
+    for (_ <- 0 until 500) {
+      val ms = Array.fill(1 + rng.nextInt(5))(rng.nextInt(12)).distinct
+      c.add(rng.nextInt(3), ms, ms.length)
+    }
+    c.rebuildIndex()
+    val p = new RMProblem(c, Array.fill(3)(10.0), Array.fill(3, 12)(1.0))
+    for (i <- 0 until 3; u <- 0 until 12) assert(p.singletonPi(i)(u) == c.piOf(i, Seq(u)))
+  }
+
   test("elementFeasible matches the definition") {
     for (i <- 0 until prob.h; u <- 0 until prob.n) {
       val exp = prob.costs(i)(u) + prob.singletonPi(i)(u) <= prob.budgets(i) + 1e-9

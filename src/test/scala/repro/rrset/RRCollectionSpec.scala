@@ -120,4 +120,39 @@ class RRCollectionSpec extends AnyFunSuite {
     val c = mk(5, Array(1.0), Seq((0, Seq(0, 1))))
     assert(c.piOf(0, Seq(4)) == 0.0)
   }
+
+  test("index of a multi-chunk collection built from several packed batches matches the reference") {
+    val rng = new java.util.SplittableRandom(11)
+    val c = new RRCollection(50, Array(1.0, 2.0, 0.5))
+    for (_ <- 0 until 5) {
+      val k = 30000
+      val sets = Array.fill(k)(Array.fill(1 + rng.nextInt(4))(rng.nextInt(50)).distinct)
+      c.addPacked(Array.fill(k)(rng.nextInt(3).toByte), sets.map(_.length), sets.flatten)
+    }
+    c.rebuildIndex()
+    assert(c.numSets == 150000 && c.numSets > 2 * 65536)
+    assert(IndexProperties.matchesNaive(c))
+  }
+
+  test("128 advertisers are rejected: the tag is a Byte") {
+    val e = intercept[IllegalArgumentException](new RRCollection(4, Array.fill(128)(1.0)))
+    assert(e.getMessage.contains("h must be below 128"))
+    assert(new RRCollection(4, Array.fill(127)(1.0)).h == 127)
+  }
+
+  test("h·n of 2^31 is rejected: index keys are Int") {
+    val e = intercept[IllegalArgumentException](new RRCollection(1 << 30, Array(1.0, 1.0)))
+    assert(e.getMessage.contains("h·n = 2147483648"))
+  }
+
+  test("appends past the incidence limit fail with a message before any count wraps") {
+    val c = mk(4, Array(1.0), Seq((0, Seq(0, 1))))
+    val e1 = intercept[IllegalStateException](c.add(0, Array(0), RRCollection.MaxArrayLength - 1))
+    assert(e1.getMessage.contains(s"${RRCollection.MaxArrayLength.toLong + 1} incidences"))
+    // These sizes sum to 2^32 - 2, which an Int total would wrap to -2.
+    val e2 = intercept[IllegalStateException](
+      c.addPacked(Array[Byte](0, 0), Array(Int.MaxValue, Int.MaxValue), Array(0)))
+    assert(e2.getMessage.contains(s"${2L * Int.MaxValue + 2} incidences"))
+    assert(c.numSets == 1 && c.totalNodes == 2 && c.singletonCount(1, 0) == 1)
+  }
 }

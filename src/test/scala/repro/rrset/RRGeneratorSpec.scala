@@ -1,8 +1,9 @@
 package repro.rrset
 
+import java.util.SplittableRandom
 import repro.SparkSpec
 import repro.core.ExactOracle
-import repro.graph.{ExplicitModel, SocialGraph}
+import repro.graph.{ExplicitModel, SocialGraph, WeightedCascade}
 
 class RRGeneratorSpec extends SparkSpec {
 
@@ -130,6 +131,42 @@ class RRGeneratorSpec extends SparkSpec {
     for (s <- 0 until c.numSets) {
       val root = c.setMembers(s)(0)
       assert(c.setMembers(s).toSet == (0 to root).toSet)
+    }
+  }
+
+  test("SUBSIM with a 1e-12 in-edge ends the scan instead of overflowing the skip") {
+    // Node 2's in-edge sits at reverse-CSR position 1, so a skip saturated at
+    // Int.MaxValue would wrap the scan position negative.
+    val gt = SocialGraph.fromPairs(3, Seq((0, 1), (1, 2)))
+    val mt = new ExplicitModel(gt, Array(Array(0.5, 1e-12)))
+    val c = new RRSource(spark, mt, Array(1.0)).collection(3000, seed = 4, subsim = true)
+    assert(c.numSets == 3000)
+    // Only sets rooted at 1 (a root is listed first) contain it.
+    assert((0 until c.numSets).forall(s => c.setMembers(s)(0) == 1 || !c.setMembers(s).contains(1)))
+  }
+
+  test("Weighted Cascade advertisers share sampler tables; sets equal unshared copies") {
+    val rng = new SplittableRandom(12)
+    val gw = SocialGraph.fromPairs(40,
+      Seq.fill(160)((rng.nextInt(40), rng.nextInt(40))).filter { case (a, b) => a != b }.distinct)
+    val wc = new WeightedCascade(gw, 4)
+    val cpe4 = Array(1.0, 1.5, 2.0, 0.5)
+    val shared = RRSamplerState(wc, cpe4)
+    assert((1 until 4).forall(i => (shared.probRev(i) eq shared.probRev(0)) && (shared.maxP(i) eq shared.maxP(0))))
+    val copies = RRSamplerState(new ExplicitModel(gw, Array.fill(4)(wc.prob(0).clone())), cpe4)
+    assert(copies.probRev(1) ne copies.probRev(0))
+    for (subsim <- Seq(false, true)) {
+      def sets(st: RRSamplerState): Seq[Seq[Int]] = {
+        val r = new SplittableRandom(77)
+        val queue = new Array[Int](gw.n)
+        val stamp = new Array[Int](gw.n)
+        (1 to 3000).map { t =>
+          val ad = st.sampleAd(r)
+          val sz = st.generate(ad, r.nextInt(gw.n), r, queue, stamp, t, subsim)
+          ad +: queue.take(sz).toSeq
+        }
+      }
+      assert(sets(shared) == sets(copies), s"subsim=$subsim")
     }
   }
 }
