@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.{InfluenceModel, SocialGraph}
-import repro.rrset.{RRCollection, RRSource}
+import repro.rrset.{RRSamplerState, RRSink, RRSource}
 
 /** Single-advertiser view of a multi-advertiser influence model — the
   * TIM-based baselines keep one RR-set collection per advertiser.
@@ -43,7 +43,8 @@ object TIM {
   /** TIM's KptEstimation (Algorithm 2 of [67]): returns a lower bound on
     * OPT_k = max spread of k seeds, estimated from RR-set widths. Also
     * returns the number of RR sets it generated (they count toward the
-    * baseline's running time, as in [5]).
+    * baseline's running time, as in [5]). The sets are never stored: each
+    * sampling task returns their widths, summed here in set order.
     */
   def kptEstimate(source: RRSource, graph: SocialGraph, k: Int, ell: Double,
                   seed: Long, subsim: Boolean): (Double, Long) = {
@@ -54,24 +55,38 @@ object TIM {
     var i = 1
     while (i < log2n.toInt) {
       val ci = math.max(1L, ((6 * ell * math.log(n.toDouble) + 6 * math.log(log2n)) * (1L << i)).toLong)
-      val coll = new RRCollection(n, Array(1.0))
-      source.appendTo(coll, math.min(ci, 1_000_000L).toInt, seed + i, subsim)
-      generated += coll.numSets
+      val num = math.min(ci, 1_000_000L).toInt
+      val widths = source.sample(Seq((num, seed + i)), subsim)((st, count) => new Widths(st, count))
+      generated += num
       var sumKappa = 0.0
-      var sid = 0
-      while (sid < coll.numSets) {
-        var w = 0L
-        var p = coll.setStart(sid)
-        while (p < coll.setEnd(sid)) { w += graph.inDegree(coll.memberAt(p)); p += 1 }
-        sumKappa += 1 - math.pow(1 - w.toDouble / m, k)
-        sid += 1
+      for (ws <- widths) {
+        var s = 0
+        while (s < ws.length) { sumKappa += 1 - math.pow(1 - ws(s).toDouble / m, k); s += 1 }
       }
-      if (sumKappa / coll.numSets > 1.0 / (1L << i)) {
-        return (n * sumKappa / (2 * coll.numSets), generated)
+      if (sumKappa / num > 1.0 / (1L << i)) {
+        return (n * sumKappa / (2 * num), generated)
       }
       i += 1
     }
     (1.0, generated)
+  }
+
+  /** Each set's width: the summed in-degree of its members (at most m, as
+    * members are distinct), in set order.
+    */
+  private final class Widths(st: RRSamplerState, count: Int) extends RRSink[Array[Int]] {
+    private val widths = new Array[Int](count)
+    private var k = 0
+
+    def add(tag: Int, members: Array[Int], size: Int): Unit = {
+      var w = 0
+      var p = 0
+      while (p < size) { val v = members(p); w += st.revHead(v + 1) - st.revHead(v); p += 1 }
+      widths(k) = w
+      k += 1
+    }
+
+    def result(): Array[Int] = widths
   }
 
   /** TIM's RR-sample size for an ε-approximate size-k selection. */

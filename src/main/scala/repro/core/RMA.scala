@@ -132,7 +132,9 @@ object RMA {
     val source = new RRSource(spark, model, cpe)
     val th0 = math.min(cfg.maxSetsCap.toLong, math.max(256L, theta0.toLong)).toInt
     val r1 = source.collection(th0, cfg.seed * 2 + 1, cfg.subsim)
-    val r2 = source.collection(th0, cfg.seed * 2 + 2, cfg.subsim)
+    // R₂ only scores the allocation Search returns, so it is kept as its
+    // (num, seed) batches and regenerated against each round's allocation.
+    var r2 = Vector((th0, cfg.seed * 2 + 2))
 
     var iter = 0
     var result: Result = null
@@ -142,16 +144,20 @@ object RMA {
       val or = Search.rmWithOracle(innerProb, cfg.tau)
       val allocA = or.alloc
       val z = seekUB(r1, allocA, or.info, lam, h)
-      // Feasibility (lines 8–11) on R₂.
+      // Feasibility (lines 8–11) and π̃(S⃗*, R₂) on R₂.
+      val scale2 = n.toDouble * gamma / r2.map(_._1).sum
+      val covered = source.coverage(allocA, r2, cfg.subsim)
       var feasible = true
+      var piS = 0.0
       var i = 0
       while (i < h) {
-        val ubi = ub(r2.piOf(i, allocA(i)), r2.scalePerSet, q)
+        val pi = covered(i) * scale2
+        piS += pi
         val ci = allocA(i).map(costs(i)).sum
-        if (ubi > (1 + cfg.rho) * budgets(i) - ci + 1e-9) feasible = false
+        if (ub(pi, scale2, q) > (1 + cfg.rho) * budgets(i) - ci + 1e-9) feasible = false
         i += 1
       }
-      val lbS = lb(Alloc.piTotal(r2, allocA), r2.scalePerSet, q)
+      val lbS = lb(piS, scale2, q)
       val ubO = ub(z, r1.scalePerSet, q)
       val beta = if (ubO <= 0) 1.0 else lbS / ubO
       val reachedThetaMax = r1.numSets >= thMax || r1.numSets >= cfg.maxSetsCap
@@ -159,10 +165,10 @@ object RMA {
         result = Result(allocA, iter, r1.numSets, beta, feasible, lam,
           th0.toLong, thMax.toLong, (System.nanoTime() - t0) / 1000000L)
       } else {
-        val grow1 = math.min(r1.numSets.toLong, cfg.maxSetsCap.toLong - r1.numSets).toInt
-        val grow2 = math.min(r2.numSets.toLong, cfg.maxSetsCap.toLong - r2.numSets).toInt
-        source.appendTo(r1, grow1, cfg.seed * 1000 + iter * 2 + 1, cfg.subsim)
-        source.appendTo(r2, grow2, cfg.seed * 1000 + iter * 2 + 2, cfg.subsim)
+        // R₁ and R₂ have the same size and grow by the same count.
+        val grow = math.min(r1.numSets.toLong, cfg.maxSetsCap.toLong - r1.numSets).toInt
+        source.appendTo(r1, grow, cfg.seed * 1000 + iter * 2 + 1, cfg.subsim)
+        r2 :+= ((grow, cfg.seed * 1000 + iter * 2 + 2))
       }
     }
     result

@@ -1,6 +1,7 @@
 package repro.rrset
 
 import java.util.SplittableRandom
+import scala.reflect.ClassTag
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.broadcast.Broadcast
 import repro.graph.InfluenceModel
@@ -8,8 +9,8 @@ import repro.graph.InfluenceModel
 /** Serializable sampling state shipped to executors once per model:
   * reverse-CSR adjacency plus per-advertiser probabilities in reverse-CSR
   * position order, the cpe weights for uniform advertiser sampling, and the
-  * per-(advertiser, node) max in-edge probability used by the SUBSIM-style
-  * geometric-jump sampler.
+  * per-(advertiser, node) max in-edge probability `pmax` and its skip
+  * constant `log(1 − pmax)` used by the SUBSIM-style geometric-jump sampler.
   */
 final class RRSamplerState(
     val n: Int,
@@ -18,6 +19,7 @@ final class RRSamplerState(
     val probRev: Array[Array[Double]],
     val cpeCum: Array[Double], // cumulative cpe, last = Γ
     val maxP: Array[Array[Double]], // per ad: max in-edge prob per node
+    val logQ: Array[Array[Double]], // per ad: math.log1p(-maxP) per node
 ) extends Serializable {
 
   val h: Int = probRev.length
@@ -45,6 +47,7 @@ final class RRSamplerState(
                subsim: Boolean): Int = {
     val probs = probRev(ad)
     val mp = maxP(ad)
+    val lq = logQ(ad)
     var head = 0
     var tail = 0
     queue(tail) = root; tail += 1
@@ -65,7 +68,7 @@ final class RRSamplerState(
         }
       } else if (mp(v) > 0) {
         val pmax = mp(v)
-        val logq = math.log1p(-pmax)
+        val logq = lq(v)
         var p = RRSamplerState.jump(begin, end, rng, logq)
         while (p < end) {
           val pe = probs(p)
@@ -79,6 +82,22 @@ final class RRSamplerState(
       }
     }
     tail
+  }
+
+  /** `count` RR sets drawn from `rng`, each handed to `sink` as soon as it is
+    * made. Per set: the advertiser, then the root, then the reverse BFS.
+    */
+  def sample(count: Int, rng: SplittableRandom, subsim: Boolean, sink: RRSink[_]): Unit = {
+    val queue = new Array[Int](n)
+    val stamp = new Array[Int](n)
+    var k = 0
+    while (k < count) {
+      val ad = sampleAd(rng)
+      val root = rng.nextInt(n)
+      val sz = generate(ad, root, rng, queue, stamp, k + 1, subsim)
+      sink.add(ad, queue, sz)
+      k += 1
+    }
   }
 }
 
@@ -94,8 +113,8 @@ object RRSamplerState {
   }
 
   /** Advertisers whose `model.prob(i)` is the same array share one
-    * reverse-CSR probability array and one `maxP` table (Weighted Cascade
-    * gives every advertiser the same array).
+    * reverse-CSR probability array and one `maxP` and `logQ` table (Weighted
+    * Cascade gives every advertiser the same array).
     */
   def apply(model: InfluenceModel, cpe: Array[Double]): RRSamplerState = {
     val g = model.graph
@@ -104,38 +123,53 @@ object RRSamplerState {
     val owner = Array.tabulate(h)(i => byEdge.indexWhere(_ eq byEdge(i)))
     val probRev = new Array[Array[Double]](h)
     val maxP = new Array[Array[Double]](h)
+    val logQ = new Array[Array[Double]](h)
     for (i <- 0 until h) {
       if (owner(i) < i) {
         probRev(i) = probRev(owner(i))
         maxP(i) = maxP(owner(i))
+        logQ(i) = logQ(owner(i))
       } else {
         val rev = new Array[Double](g.m)
         var p = 0
         while (p < g.m) { rev(p) = byEdge(i)(g.revEdge(p)); p += 1 }
         val mp = new Array[Double](g.n)
+        val lq = new Array[Double](g.n)
         var v = 0
         while (v < g.n) {
           p = g.revHead(v)
           var mx = 0.0
           while (p < g.revHead(v + 1)) { if (rev(p) > mx) mx = rev(p); p += 1 }
           mp(v) = mx
+          lq(v) = math.log1p(-mx)
           v += 1
         }
         probRev(i) = rev
         maxP(i) = mp
+        logQ(i) = lq
       }
     }
     val cum = new Array[Double](h)
     var acc = 0.0
     var i = 0
     while (i < h) { acc += cpe(i); cum(i) = acc; i += 1 }
-    new RRSamplerState(g.n, g.revHead, g.revSrc, probRev, cum, maxP)
+    new RRSamplerState(g.n, g.revHead, g.revSrc, probRev, cum, maxP, logQ)
   }
 }
 
-/** Distributed RR-set generation: `spark.range(num)` fanned out over a fixed
-  * partition count, each partition packing its sets into flat arrays which the
-  * driver appends to an [[RRCollection]]. Deterministic in `seed`.
+/** Consumer of one sampling task's RR sets, fed in generation order. A set's
+  * members are `members(0 until size)`, valid only during the call; `result`
+  * is what the task returns to the driver.
+  */
+abstract class RRSink[T] {
+  def add(tag: Int, members: Array[Int], size: Int): Unit
+  def result(): T
+}
+
+/** Distributed RR-set generation: one Spark job per call, each batch
+  * `(num, seed)` fanned out over a fixed partition count whose tasks generate
+  * their sets in one loop ([[RRSamplerState.sample]]) and pass them to a
+  * per-task [[RRSink]]. Deterministic in `seed`.
   */
 final class RRSource(spark: SparkSession, model: InfluenceModel,
                      val cpeArr: Array[Double], partitions: Int = 64) {
@@ -144,47 +178,40 @@ final class RRSource(spark: SparkSession, model: InfluenceModel,
   private val bc: Broadcast[RRSamplerState] =
     spark.sparkContext.broadcast(RRSamplerState(model, cpeArr))
 
-  /** Generate `num` RR sets into flat per-partition batches and append them
-    * to `coll`. Each call with a distinct `seed` yields fresh independent
-    * sets; the same `seed` reproduces the same sets.
+  /** Generate every batch `(num, seed)` in one Spark job. A batch is split
+    * over `min(partitions, num/256 + 1)` tasks, each drawing its share of the
+    * `num` sets from its own seed; `sink(state, count)` makes the consumer of
+    * one task's `count` sets. Returns each task's `result()`, batch by batch
+    * in task order. The same batch always yields the same sets, whatever the
+    * sink.
+    */
+  def sample[T: ClassTag](batches: Seq[(Int, Long)], subsim: Boolean)(
+      sink: (RRSamplerState, Int) => RRSink[T]): Array[T] = {
+    val tasks = for {
+      (num, seed) <- batches.toVector if num > 0
+      parts = math.min(partitions, num / 256 + 1)
+      pid <- 0 until parts
+    } yield (seed * 1000003L + pid * 7919L + 17L, num / parts + (if (pid < num % parts) 1 else 0))
+    if (tasks.isEmpty) return Array.empty[T]
+    val state = bc
+    spark.sparkContext
+      .parallelize(tasks, tasks.length)
+      .map { case (taskSeed, count) =>
+        val st = state.value
+        val out = sink(st, count)
+        st.sample(count, new SplittableRandom(taskSeed), subsim, out)
+        out.result()
+      }
+      .collect()
+  }
+
+  /** Generate `num` RR sets into flat per-task batches and append them to
+    * `coll`. Each call with a distinct `seed` yields fresh independent sets;
+    * the same `seed` reproduces the same sets.
     */
   def appendTo(coll: RRCollection, num: Int, seed: Long, subsim: Boolean = false): Unit = {
     if (num <= 0) return
-    val parts = math.min(partitions, math.max(1, num / 256 + 1))
-    val state = bc
-    val batches = spark.sparkContext
-      .range(0, parts, 1, parts)
-      .map { pid =>
-        val st = state.value
-        val rng = new SplittableRandom(seed * 1000003L + pid * 7919L + 17L)
-        val count = num / parts + (if (pid < num % parts) 1 else 0)
-        val queue = new Array[Int](st.n)
-        val stamp = new Array[Int](st.n)
-        var cur = 0
-        val tags = new Array[Byte](count.toInt)
-        val sizes = new Array[Int](count.toInt)
-        var nodesBuf = new Array[Int](math.max(1024, count.toInt))
-        var nodesLen = 0
-        var k = 0
-        while (k < count) {
-          cur += 1
-          val ad = st.sampleAd(rng)
-          val root = rng.nextInt(st.n)
-          val sz = st.generate(ad, root, rng, queue, stamp, cur, subsim)
-          if (nodesLen + sz > nodesBuf.length) {
-            var cap = nodesBuf.length
-            while (cap < nodesLen + sz) cap *= 2
-            nodesBuf = java.util.Arrays.copyOf(nodesBuf, cap)
-          }
-          System.arraycopy(queue, 0, nodesBuf, nodesLen, sz)
-          nodesLen += sz
-          tags(k.toInt) = ad.toByte
-          sizes(k.toInt) = sz
-          k += 1
-        }
-        (tags, sizes, java.util.Arrays.copyOf(nodesBuf, nodesLen))
-      }
-      .collect()
+    val batches = sample(Seq((num, seed)), subsim)((_, count) => new RRSource.Packer(count))
     coll.reserve(num, batches.iterator.map(_._3.length.toLong).sum)
     batches.foreach { case (t, s, nd) => coll.addPacked(t, s, nd) }
     coll.rebuildIndex()
@@ -195,5 +222,72 @@ final class RRSource(spark: SparkSession, model: InfluenceModel,
     val c = new RRCollection(n, cpeArr)
     appendTo(c, num, seed, subsim)
     c
+  }
+
+  /** Entry i counts the tag-i sets, among those `batches` generate, that
+    * contain a node of `alloc(i)`: the covered count behind
+    * `RRCollection.piOf(i, alloc(i))` on a collection appended from the same
+    * batches. The sets are never stored: each task checks them against a
+    * broadcast h·n bitset of `alloc` and returns h counts.
+    */
+  def coverage(alloc: IndexedSeq[Iterable[Int]], batches: Seq[(Int, Long)], subsim: Boolean): Array[Long] = {
+    val h = cpeArr.length
+    require(alloc.length == h, s"${alloc.length} seed sets for $h advertisers")
+    val bits = new Array[Long](((h.toLong * n + 63) >>> 6).toInt)
+    for (i <- 0 until h; u <- alloc(i)) {
+      val key = i.toLong * n + u
+      bits((key >>> 6).toInt) |= 1L << key
+    }
+    val seeds = spark.sparkContext.broadcast(bits)
+    try {
+      val perTask = sample(batches, subsim)((st, _) => new RRSource.Coverer(st.h, st.n, seeds.value))
+      val total = new Array[Long](h)
+      for (c <- perTask; i <- 0 until h) total(i) += c(i)
+      total
+    } finally seeds.destroy()
+  }
+}
+
+object RRSource {
+
+  /** Packs a task's sets into per-set tags and sizes plus concatenated members. */
+  private final class Packer(count: Int) extends RRSink[(Array[Byte], Array[Int], Array[Int])] {
+    private val tags = new Array[Byte](count)
+    private val sizes = new Array[Int](count)
+    private var nodes = new Array[Int](math.max(1024, count))
+    private var len = 0
+    private var k = 0
+
+    def add(tag: Int, members: Array[Int], size: Int): Unit = {
+      if (len + size > nodes.length) {
+        var cap = nodes.length
+        while (cap < len + size) cap *= 2
+        nodes = java.util.Arrays.copyOf(nodes, cap)
+      }
+      System.arraycopy(members, 0, nodes, len, size)
+      len += size
+      tags(k) = tag.toByte
+      sizes(k) = size
+      k += 1
+    }
+
+    def result(): (Array[Byte], Array[Int], Array[Int]) = (tags, sizes, java.util.Arrays.copyOf(nodes, len))
+  }
+
+  /** Counts, per tag, the sets holding a node whose bit `tag·n + u` is set. */
+  private final class Coverer(h: Int, n: Int, seeds: Array[Long]) extends RRSink[Array[Long]] {
+    private val covered = new Array[Long](h)
+
+    def add(tag: Int, members: Array[Int], size: Int): Unit = {
+      val base = tag.toLong * n
+      var p = 0
+      while (p < size) {
+        val key = base + members(p)
+        if ((seeds((key >>> 6).toInt) & (1L << key)) != 0) { covered(tag) += 1; p = size }
+        else p += 1
+      }
+    }
+
+    def result(): Array[Long] = covered
   }
 }

@@ -2,7 +2,8 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.graph.{ExplicitModel, SocialGraph}
-import repro.rrset.RRSource
+import java.util.SplittableRandom
+import repro.rrset.{RRCollection, RRSource}
 
 class TIMSpec extends SparkSpec {
 
@@ -56,5 +57,42 @@ class TIMSpec extends SparkSpec {
     val m = new ExplicitModel(g, Array(Array(0.1), Array(0.9)))
     val s1 = new SingleAdModel(m, 1)
     assert(s1.h == 1 && s1.prob(0)(0) == 0.9)
+  }
+
+  test("kptEstimate over in-task widths equals the estimate over stored collections") {
+    // Reference KptEstimation over stored collections: each round is appended
+    // into a collection and the widths are read back from its storage.
+    def storedKpt(source: RRSource, graph: SocialGraph, k: Int, ell: Double,
+                  seed: Long, subsim: Boolean): (Double, Long) = {
+      val n = graph.n
+      val m = graph.m
+      val log2n = math.max(1.0, math.log(n.toDouble) / math.log(2.0))
+      var generated = 0L
+      var i = 1
+      while (i < log2n.toInt) {
+        val ci = math.max(1L, ((6 * ell * math.log(n.toDouble) + 6 * math.log(log2n)) * (1L << i)).toLong)
+        val coll = new RRCollection(n, Array(1.0))
+        source.appendTo(coll, math.min(ci, 1_000_000L).toInt, seed + i, subsim)
+        generated += coll.numSets
+        var sumKappa = 0.0
+        for (sid <- 0 until coll.numSets) {
+          var w = 0L
+          for (p <- coll.setStart(sid) until coll.setEnd(sid)) w += graph.inDegree(coll.memberAt(p))
+          sumKappa += 1 - math.pow(1 - w.toDouble / m, k)
+        }
+        if (sumKappa / coll.numSets > 1.0 / (1L << i)) return (n * sumKappa / (2 * coll.numSets), generated)
+        i += 1
+      }
+      (1.0, generated)
+    }
+    val rng = new SplittableRandom(3)
+    val g = SocialGraph.fromPairs(300,
+      Seq.fill(1500)((rng.nextInt(300), rng.nextInt(300))).filter { case (a, b) => a != b }.distinct)
+    val m = new ExplicitModel(g, Array(Array.fill(g.m)(0.02 + 0.2 * rng.nextDouble())))
+    val src = new RRSource(spark, new SingleAdModel(m, 0), Array(1.0))
+    for (k <- Seq(1, 5); subsim <- Seq(false, true)) {
+      val got = TIM.kptEstimate(src, g, k, ell = 1.0, seed = 9, subsim)
+      assert(got == storedKpt(src, g, k, 1.0, 9, subsim), s"k=$k subsim=$subsim")
+    }
   }
 }

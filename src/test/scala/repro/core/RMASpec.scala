@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph.{ExplicitModel, SocialGraph}
-import repro.rrset.RRCollection
+import repro.rrset.{RRCollection, RRSource}
 
 class RMASpec extends SparkSpec {
 
@@ -125,5 +125,51 @@ class RMASpec extends SparkSpec {
     val r = RMA.run(spark, model, cpe, budgets, costs, cfg)
     assert(r.numSets < r.thetaMax,
       s"numSets=${r.numSets} thetaMax=${r.thetaMax} — progressive sampling should stop early")
+  }
+
+  test("RMA's doubling loop: h=1 runs several rounds, and β and feasibility replay on a stored R₂") {
+    // With h=1, λ=1/3 and SeekUB is the trivial 3·π̃(S*, R₁), so β ≥ λ−ε
+    // needs tight confidence bounds: θ₀ sets are too few.
+    val m1 = new ExplicitModel(g, Array(probs(0)))
+    val cpe1 = Array(1.0)
+    val budgets1 = Array(4.0)
+    val costs1 = Array(costs(0))
+    for (subsim <- Seq(false, true)) {
+      val c = cfg.copy(subsim = subsim)
+      val r = RMA.run(spark, m1, cpe1, budgets1, costs1, c)
+      assert(r.iterations >= 2, s"subsim=$subsim")
+      // |R₁| doubles every round (the 64M cap is far away).
+      assert(r.numSets.toLong == r.theta0 << (r.iterations - 1))
+
+      // R₁ and R₂ rebuilt as stored collections from RMA's seeds: θ₀ sets
+      // seeded 2s+1 / 2s+2, then one doubling batch per round k seeded
+      // 1000s+2k+1 / 1000s+2k+2.
+      val source = new RRSource(spark, m1, cpe1)
+      def stored(offset: Int): RRCollection = {
+        val coll = source.collection(r.theta0.toInt, c.seed * 2 + offset, subsim)
+        for (k <- 1 until r.iterations) source.appendTo(coll, coll.numSets, c.seed * 1000 + k * 2 + offset, subsim)
+        coll
+      }
+      val (r1, r2) = (stored(1), stored(2))
+      assert((0 until r1.numSets).exists(s => r1.setMembers(s).toSeq != r2.setMembers(s).toSeq))
+      val or = Search.rmWithOracle(new RMProblem(r1, budgets1.map(_ * (1 + c.rho / 2)), costs1), c.tau)
+      assert(or.alloc == r.alloc)
+
+      // Alg 6 line 3's q, from θ₀ and θ_max before rounding.
+      val deltaP = c.delta / 4
+      val mus = Array(RMA.muOf(costs1(0), 1.0, (1 + c.rho) * budgets1(0)))
+      val thMax = RMA.thetaMax(g.n, 1.0, r.lambda, c.eps, deltaP, c.rho, budgets1(0), mus)
+      val theta0 = 4.0 * g.n * (2 + c.rho / 3) / (c.rho * c.rho * budgets1(0)) * math.log(1 / deltaP)
+      val tMax = math.max(1, math.ceil(math.log(thMax / theta0) / math.log(2)).toInt)
+      val q = math.log(3 * tMax / deltaP)
+      val feasible = RMA.ub(r2.piOf(0, r.alloc(0)), r2.scalePerSet, q) <=
+        (1 + c.rho) * budgets1(0) - r.alloc(0).map(costs1(0)).sum + 1e-9
+      val lbS = RMA.lb(Alloc.piTotal(r2, r.alloc), r2.scalePerSet, q)
+      val ubO = RMA.ub(RMA.seekUB(r1, r.alloc, or.info, r.lambda, 1), r1.scalePerSet, q)
+      val beta = if (ubO <= 0) 1.0 else lbS / ubO
+      assert(beta == r.beta && feasible == r.feasibleAtStop, s"subsim=$subsim")
+      // The returned result satisfies the stop rule.
+      assert((r.beta >= r.lambda - c.eps && r.feasibleAtStop) || r.numSets >= r.thetaMax)
+    }
   }
 }

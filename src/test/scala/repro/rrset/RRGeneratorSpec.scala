@@ -169,4 +169,82 @@ class RRGeneratorSpec extends SparkSpec {
       assert(sets(shared) == sets(copies), s"subsim=$subsim")
     }
   }
+
+  /** Reference sampler that computes the skip constant `math.log1p(-pmax)`
+    * at every visited node instead of reading `logQ`.
+    */
+  private def inlineLog1pGenerate(st: RRSamplerState, ad: Int, root: Int, rng: SplittableRandom,
+                                  queue: Array[Int], stamp: Array[Int], cur: Int, subsim: Boolean): Int = {
+    def jump(from: Int, end: Int, logq: Double): Int = {
+      val skip = math.floor(math.log(rng.nextDouble()) / logq).toLong
+      if (skip >= end - from) end else from + skip.toInt
+    }
+    val probs = st.probRev(ad)
+    val mp = st.maxP(ad)
+    var head = 0
+    var tail = 0
+    queue(tail) = root; tail += 1
+    stamp(root) = cur
+    while (head < tail) {
+      val v = queue(head); head += 1
+      val begin = st.revHead(v)
+      val end = st.revHead(v + 1)
+      if (!subsim || mp(v) >= 0.99) {
+        var p = begin
+        while (p < end) {
+          val pe = probs(p)
+          if (pe > 0 && rng.nextDouble() < pe) {
+            val u = st.revSrc(p)
+            if (stamp(u) != cur) { stamp(u) = cur; queue(tail) = u; tail += 1 }
+          }
+          p += 1
+        }
+      } else if (mp(v) > 0) {
+        val pmax = mp(v)
+        val logq = math.log1p(-pmax)
+        var p = jump(begin, end, logq)
+        while (p < end) {
+          val pe = probs(p)
+          if (pe > 0 && rng.nextDouble() * pmax < pe) {
+            val u = st.revSrc(p)
+            if (stamp(u) != cur) { stamp(u) = cur; queue(tail) = u; tail += 1 }
+          }
+          p = jump(p + 1, end, logq)
+        }
+      }
+    }
+    tail
+  }
+
+  test("logQ is log1p(-maxP) bit for bit, shared under WC; sets equal the inline-log1p sampler") {
+    val rng = new SplittableRandom(31)
+    val gm = SocialGraph.fromPairs(200,
+      Seq.fill(1600)((rng.nextInt(200), rng.nextInt(200))).filter { case (a, b) => a != b }.distinct)
+    // TIC-like: per-advertiser arrays mixing tiny, moderate and near-1 probabilities.
+    def mixed(): Array[Double] = Array.fill(gm.m) {
+      val x = rng.nextDouble()
+      if (x < 0.1) 1e-9 else if (x < 0.2) 0.995 else if (x < 0.3) 0.0 else 0.3 * rng.nextDouble()
+    }
+    val tic = RRSamplerState(new ExplicitModel(gm, Array.fill(3)(mixed())), Array(1.0, 2.0, 0.5))
+    val wc = RRSamplerState(new WeightedCascade(gm, 3), Array(1.0, 2.0, 0.5))
+    assert((1 until 3).forall(i => wc.logQ(i) eq wc.logQ(0)))
+    assert(tic.logQ(1) ne tic.logQ(0))
+    for (st <- Seq(tic, wc); i <- 0 until st.h; v <- 0 until gm.n)
+      assert(java.lang.Double.doubleToRawLongBits(st.logQ(i)(v)) ==
+        java.lang.Double.doubleToRawLongBits(math.log1p(-st.maxP(i)(v))), s"ad=$i node=$v")
+    for (st <- Seq(tic, wc); subsim <- Seq(false, true)) {
+      val rngA = new SplittableRandom(5)
+      val rngB = new SplittableRandom(5)
+      val (qa, sa, qb, sb) = (new Array[Int](gm.n), new Array[Int](gm.n), new Array[Int](gm.n), new Array[Int](gm.n))
+      for (t <- 1 to 12000) {
+        val ad = st.sampleAd(rngA)
+        assert(st.sampleAd(rngB) == ad)
+        val root = rngA.nextInt(gm.n)
+        assert(rngB.nextInt(gm.n) == root)
+        val za = st.generate(ad, root, rngA, qa, sa, t, subsim)
+        val zb = inlineLog1pGenerate(st, ad, root, rngB, qb, sb, t, subsim)
+        assert(za == zb && java.util.Arrays.equals(qa, 0, za, qb, 0, zb), s"set $t, subsim=$subsim")
+      }
+    }
+  }
 }
