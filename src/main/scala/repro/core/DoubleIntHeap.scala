@@ -55,4 +55,15 @@ final class DoubleIntHeap(initialCapacity: Int = 64) {
   }
 
   def clear(): Unit = count = 0
+
+  /** An independent heap with the same pairs in the same array layout, so
+    * equal keys pop in the same order from both.
+    */
+  def copy(): DoubleIntHeap = {
+    val c = new DoubleIntHeap(keys.length)
+    System.arraycopy(keys, 0, c.keys, 0, count)
+    System.arraycopy(elems, 0, c.elems, 0, count)
+    c.count = count
+    c
+  }
 }

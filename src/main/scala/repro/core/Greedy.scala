@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicBoolean
+
 /** Algorithm 1 — Greedy(U, i): single-advertiser 1/3-approximation.
   *
   * Repeatedly picks the candidate with maximum marginal *rate*
@@ -12,7 +14,15 @@ object Greedy {
   /** Run over candidate set `candidates` for advertiser `i`; returns the
     * selected seed set.
     */
-  def run(prob: RMProblem, candidates: IndexedSeq[Int], i: Int): IndexedSeq[Int] = {
+  def run(prob: RMProblem, candidates: IndexedSeq[Int], i: Int): IndexedSeq[Int] =
+    scored(prob, candidates, i)._1
+
+  /** [[run]], also returning `π_i` of the selected set: the session's π for
+    * `S_i`, the singleton π for the stopple. Stops with a
+    * `CancellationException` at the first heap pop after `cancelled` is set.
+    */
+  private[core] def scored(prob: RMProblem, candidates: IndexedSeq[Int], i: Int,
+                           cancelled: AtomicBoolean = ThresholdGreedy.NeverCancelled): (IndexedSeq[Int], Double) = {
     val sess = prob.oracle.newSession()
     val b = prob.budgets(i)
     val heap = new DoubleIntHeap(candidates.size)
@@ -25,6 +35,7 @@ object Greedy {
     var d = -1
     var done = false
     while (!done && heap.nonEmpty) {
+      ThresholdGreedy.checkCancelled(cancelled)
       val u = heap.topElem
       heap.removeTop()
       val r = sess.rate(u, i, prob.costs(i)(u))
@@ -45,7 +56,7 @@ object Greedy {
     }
     val sSet = s.result()
     val piS = sess.pi(i)
-    val piD = if (d >= 0) prob.oracle.piOf(i, Seq(d)) else -1.0
-    if (piD > piS) Vector(d) else sSet
+    val piD = if (d >= 0) prob.singletonPi(i)(d) else -1.0
+    if (piD > piS) (Vector(d), piD) else (sSet, piS)
   }
 }

@@ -35,14 +35,29 @@ final class RMProblem(
   def withScaledBudgets(f: Double): RMProblem =
     new RMProblem(oracle, budgets.map(_ * f), costs)
 
-  /** Same costs/budgets over a different oracle (RMA's doubled collections). */
-  def withOracle(o: RevenueOracle): RMProblem = new RMProblem(o, budgets, costs)
-
   /** π_i({u}) for every element, used by feasibility filters and γ_max.
     * Computed once per problem; O(h·n) for the RR oracle.
     */
   lazy val singletonPi: Array[Array[Double]] =
     Array.tabulate(h)(i => Array.tabulate(n)(u => oracle.piSingle(i, u)))
+
+  /** ThresholdGreedy's initial heap M: every individually feasible (u, i),
+    * keyed by π_i({u}), pushed in (i, u) order. It does not depend on γ, so
+    * each call takes a [[DoubleIntHeap.copy]] of it.
+    */
+  private[core] lazy val thresholdHeap: DoubleIntHeap = {
+    val heap = new DoubleIntHeap(n * h)
+    var i = 0
+    while (i < h) {
+      var u = 0
+      while (u < n) {
+        if (elementFeasible(i, u)) heap.push(singletonPi(i)(u), i * n + u)
+        u += 1
+      }
+      i += 1
+    }
+    heap
+  }
 
   /** Is element (u,i) individually budget-feasible: `c_i(u)+π_i({u}) ≤ B_i`? */
   def elementFeasible(i: Int, u: Int): Boolean =

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.CancellationException
+import java.util.concurrent.atomic.AtomicBoolean
 import Alloc.Alloc
 
 /** Algorithms 2 & 3 — ThresholdGreedy(γ) and Fill.
@@ -11,18 +13,28 @@ import Alloc.Alloc
   * a fallback `Greedy` run provides `A_i`; each advertiser keeps the best of
   * `{S_i, D_i, A_i}` and `Fill` then greedily (by rate) tops up every
   * advertiser whose budget is not yet depleted.
+  *
+  * A call reads the problem and its oracle but writes only its own
+  * sessions, so calls for different γ may run concurrently (Search does).
   */
 object ThresholdGreedy {
 
-  /** Result: the allocation after Fill, and `b` = number of advertisers whose
-    * budget was depleted during the threshold phase.
+  /** Result: the allocation after Fill, `b` = number of advertisers whose
+    * budget was depleted during the threshold phase, and `pi` = π(S⃗) of the
+    * allocation, summed over advertisers in index order (the same double as
+    * `Alloc.piTotal(prob.oracle, alloc)`).
     */
-  final case class TGResult(alloc: Alloc, b: Int)
+  final case class TGResult(alloc: Alloc, b: Int, pi: Double)
 
-  def run(prob: RMProblem, gamma: Double): TGResult = {
+  def run(prob: RMProblem, gamma: Double): TGResult = run(prob, gamma, NeverCancelled)
+
+  /** [[run]] that stops with a `CancellationException` at its start or at
+    * the first heap pop after `cancelled` is set.
+    */
+  private[core] def run(prob: RMProblem, gamma: Double, cancelled: AtomicBoolean): TGResult = {
+    checkCancelled(cancelled)
     val n = prob.n; val h = prob.h
-    val oracle = prob.oracle
-    val sess = oracle.newSession()
+    val sess = prob.oracle.newSession()
 
     val assigned = new Array[Boolean](n) // in ∪_j (S_j ∪ D_j)
     val dOf = Array.fill(h)(-1)          // stopple node per advertiser
@@ -31,18 +43,10 @@ object ThresholdGreedy {
     var depleted = 0
 
     // M: all individually feasible elements, keyed by marginal gain.
-    val heap = new DoubleIntHeap(n * h)
-    var i = 0
-    while (i < h) {
-      var u = 0
-      while (u < n) {
-        if (prob.elementFeasible(i, u)) heap.push(prob.singletonPi(i)(u), i * n + u)
-        u += 1
-      }
-      i += 1
-    }
+    val heap = prob.thresholdHeap.copy()
 
     while (heap.nonEmpty && depleted != h) {
+      checkCancelled(cancelled)
       val e = heap.topElem
       heap.removeTop()
       val ad = e / n; val u = e % n
@@ -73,41 +77,60 @@ object ThresholdGreedy {
     val b = depleted
 
     // Line 9–10: single-depleted fallback Greedy over V minus all S_j.
-    val aFallback: Array[IndexedSeq[Int]] = Array.fill(h)(Vector.empty)
+    val aFallback: Array[(IndexedSeq[Int], Double)] = Array.fill(h)((Vector.empty, 0.0))
     if (b == 1) {
       val ad = dOf.indexWhere(_ >= 0)
       val inS = new Array[Boolean](n)
       s.foreach(_.foreach(inS(_) = true))
       val candidates = (0 until n).filter(!inS(_)).toVector
-      aFallback(ad) = Greedy.run(prob, candidates, ad)
+      aFallback(ad) = Greedy.scored(prob, candidates, ad, cancelled)
     }
 
-    // Line 11: per advertiser keep the best of {S_j, D_j, A_j}.
+    // Line 11: per advertiser keep the first best of {S_j, D_j, A_j}. S_j is
+    // scored by the session, which holds exactly the S_j (never a D_j).
+    var keptS = true
     val sPrime: Alloc = Vector.tabulate(h) { j =>
-      val options = Seq(
-        s(j),
-        if (dOf(j) >= 0) Vector(dOf(j)) else Vector.empty[Int],
-        aFallback(j),
-      )
-      options.maxBy(x => oracle.piOf(j, x))
+      val d = dOf(j)
+      val (a, piA) = aFallback(j)
+      var best = s(j); var piBest = sess.pi(j)
+      val piD = if (d >= 0) prob.singletonPi(j)(d) else 0.0
+      if (piD > piBest) { best = Vector(d); piBest = piD; keptS = false }
+      if (piA > piBest) { best = a; keptS = false }
+      best
     }
 
-    TGResult(fill(prob, sPrime), b)
+    // When every advertiser kept S_j, the session is the one a fresh session
+    // reaches by adding S⃗′, so Fill continues it.
+    val (alloc, pi) = fillFrom(prob, sPrime, if (keptS) sess else sessionOf(prob, sPrime), cancelled)
+    TGResult(alloc, b, pi)
   }
 
   /** Algorithm 3 — Fill(S⃗): greedy top-up by marginal rate until all budgets
     * are depleted or no feasible element remains.
     */
-  def fill(prob: RMProblem, start: Alloc): Alloc = {
-    val n = prob.n; val h = prob.h
+  def fill(prob: RMProblem, start: Alloc): Alloc =
+    fillFrom(prob, start, sessionOf(prob, start), NeverCancelled)._1
+
+  /** A fresh session holding `alloc`. */
+  private def sessionOf(prob: RMProblem, alloc: Alloc): RevenueSession = {
     val sess = prob.oracle.newSession()
+    var i = 0
+    while (i < prob.h) { alloc(i).foreach(sess.add(_, i)); i += 1 }
+    sess
+  }
+
+  /** Fill from `start`, continuing `sess`, which must hold exactly `start`.
+    * Returns the allocation and its π(S⃗) read off the session.
+    */
+  private def fillFrom(prob: RMProblem, start: Alloc, sess: RevenueSession,
+                       cancelled: AtomicBoolean): (Alloc, Double) = {
+    val n = prob.n; val h = prob.h
     val assigned = new Array[Boolean](n)
     val costS = new Array[Double](h)
     val out = Array.tabulate(h)(i => Vector.newBuilder[Int] ++= start(i))
     var i = 0
     while (i < h) {
       for (u <- start(i)) {
-        sess.add(u, i)
         costS(i) += prob.costs(i)(u)
         assigned(u) = true
       }
@@ -125,6 +148,7 @@ object ThresholdGreedy {
       i += 1
     }
     while (heap.nonEmpty) {
+      checkCancelled(cancelled)
       val e = heap.topElem
       heap.removeTop()
       val ad = e / n; val u = e % n
@@ -143,6 +167,15 @@ object ThresholdGreedy {
         // element removed from M either way
       }
     }
-    Vector.tabulate(h)(j => out(j).result())
+    var pi = 0.0
+    i = 0
+    while (i < h) { pi += sess.pi(i); i += 1 }
+    (Vector.tabulate(h)(j => out(j).result()), pi)
   }
+
+  /** The flag of calls nobody cancels. */
+  private[core] val NeverCancelled = new AtomicBoolean(false)
+
+  private[core] def checkCancelled(cancelled: AtomicBoolean): Unit =
+    if (cancelled.get()) throw new CancellationException("ThresholdGreedy call cancelled")
 }

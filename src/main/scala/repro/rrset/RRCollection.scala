@@ -174,8 +174,6 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
     }
     idxHead = heads
     idxSets = sets
-    stamps = new Array[Int](_numSets)
-    stampCur = 0
     indexValid = true
   }
 
@@ -204,21 +202,22 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
     */
   override def piSingle(i: Int, u: Int): Double = singletonCount(u, i) * scalePerSet
 
-  // reusable stamp buffer for from-scratch evaluations (driver-side only)
-  private var stamps: Array[Int] = new Array[Int](0)
-  private var stampCur: Int = 0
-
-  /** `π̃_i(X, R)` evaluated from scratch (distinct covered tag-i sets). */
+  /** `π̃_i(X, R)` evaluated from scratch (distinct covered tag-i sets). Each
+    * call marks sets in its own bitset, so calls may run concurrently once
+    * the index is built.
+    */
   def piOf(i: Int, xs: Iterable[Int]): Double = {
     ensureIndex()
-    stampCur += 1
+    val seen = new Array[Long]((_numSets + 63) >>> 6)
     var covered = 0
     for (u <- xs) {
       var p = idxHead(i * n + u)
       val end = idxHead(i * n + u + 1)
       while (p < end) {
         val sid = idxSets(p)
-        if (stamps(sid) != stampCur) { stamps(sid) = stampCur; covered += 1 }
+        val bit = 1L << sid
+        val w = sid >>> 6
+        if ((seen(w) & bit) == 0) { seen(w) |= bit; covered += 1 }
         p += 1
       }
     }

@@ -127,49 +127,80 @@ class RMASpec extends SparkSpec {
       s"numSets=${r.numSets} thetaMax=${r.thetaMax} — progressive sampling should stop early")
   }
 
+  /** RMA's rounds replayed on stored collections built from RMA's seeds: R₁
+    * and R₂ hold θ₀ sets seeded 2s+1 / 2s+2, and round k > 1 appends one
+    * doubling batch seeded 1000s+2(k−1)+1 / 1000s+2(k−1)+2. Returns each
+    * round's allocation, β and per-advertiser feasibility, computed as
+    * Alg 6 lines 8–12 do, with R₂ stored and indexed.
+    */
+  private def replayRounds(m: ExplicitModel, cpe: Array[Double], budgets: Array[Double],
+                           costs: Array[Array[Double]], c: RMA.Config,
+                           r: RMA.Result): Seq[(Alloc.Alloc, Double, Seq[Boolean])] = {
+    val h = cpe.length
+    val n = m.graph.n
+    // Alg 6 line 3's q, from θ₀ and θ_max before rounding.
+    val deltaP = c.delta / 4
+    val mus = Array.tabulate(h)(i => RMA.muOf(costs(i), cpe(i), (1 + c.rho) * budgets(i)))
+    val thMax = RMA.thetaMax(n, cpe.sum, r.lambda, c.eps, deltaP, c.rho, budgets.min, mus)
+    val theta0 = 4.0 * n * cpe.sum * (2 + c.rho / 3) / (c.rho * c.rho * budgets.min) * math.log(h / deltaP)
+    val tMax = math.max(1, math.ceil(math.log(thMax / theta0) / math.log(2)).toInt)
+    val q = math.log((h + 2) * tMax / deltaP)
+    val source = new RRSource(spark, m, cpe)
+    val r1 = source.collection(r.theta0.toInt, c.seed * 2 + 1, c.subsim)
+    val r2 = source.collection(r.theta0.toInt, c.seed * 2 + 2, c.subsim)
+    assert((0 until r1.numSets).exists(s => r1.setMembers(s).toSeq != r2.setMembers(s).toSeq))
+    (1 to r.iterations).map { k =>
+      if (k > 1) {
+        source.appendTo(r1, r1.numSets, c.seed * 1000 + (k - 1) * 2 + 1, c.subsim)
+        source.appendTo(r2, r2.numSets, c.seed * 1000 + (k - 1) * 2 + 2, c.subsim)
+      }
+      val or = Search.rmWithOracle(new RMProblem(r1, budgets.map(_ * (1 + c.rho / 2)), costs), c.tau)
+      val feasible = (0 until h).map(i => RMA.ub(r2.piOf(i, or.alloc(i)), r2.scalePerSet, q) <=
+        (1 + c.rho) * budgets(i) - or.alloc(i).map(costs(i)).sum + 1e-9)
+      val lbS = RMA.lb(Alloc.piTotal(r2, or.alloc), r2.scalePerSet, q)
+      val ubO = RMA.ub(RMA.seekUB(r1, or.alloc, or.info, r.lambda, h), r1.scalePerSet, q)
+      (or.alloc, if (ubO <= 0) 1.0 else lbS / ubO, feasible)
+    }
+  }
+
+  /** The replayed rounds are RMA's: only the last one meets the stop rule,
+    * and its allocation, β and feasibility are the `Result`'s.
+    */
+  private def assertRoundsReplay(rounds: Seq[(Alloc.Alloc, Double, Seq[Boolean])], r: RMA.Result,
+                                 c: RMA.Config, where: String): Unit = {
+    def stops(beta: Double, feasible: Seq[Boolean]) = beta >= r.lambda - c.eps && feasible.forall(identity)
+    assert(r.iterations >= 2, where)
+    // |R₁| doubles every round (the 64M cap is far away).
+    assert(r.numSets.toLong == r.theta0 << (r.iterations - 1), where)
+    assert(rounds.init.forall { case (_, beta, feasible) => !stops(beta, feasible) }, where)
+    val (alloc, beta, feasible) = rounds.last
+    assert(alloc == r.alloc && beta == r.beta && feasible.forall(identity) == r.feasibleAtStop, where)
+    assert(stops(r.beta, Seq(r.feasibleAtStop)) || r.numSets >= r.thetaMax, where)
+  }
+
   test("RMA's doubling loop: h=1 runs several rounds, and β and feasibility replay on a stored R₂") {
     // With h=1, λ=1/3 and SeekUB is the trivial 3·π̃(S*, R₁), so β ≥ λ−ε
     // needs tight confidence bounds: θ₀ sets are too few.
     val m1 = new ExplicitModel(g, Array(probs(0)))
-    val cpe1 = Array(1.0)
-    val budgets1 = Array(4.0)
-    val costs1 = Array(costs(0))
     for (subsim <- Seq(false, true)) {
       val c = cfg.copy(subsim = subsim)
-      val r = RMA.run(spark, m1, cpe1, budgets1, costs1, c)
-      assert(r.iterations >= 2, s"subsim=$subsim")
-      // |R₁| doubles every round (the 64M cap is far away).
-      assert(r.numSets.toLong == r.theta0 << (r.iterations - 1))
-
-      // R₁ and R₂ rebuilt as stored collections from RMA's seeds: θ₀ sets
-      // seeded 2s+1 / 2s+2, then one doubling batch per round k seeded
-      // 1000s+2k+1 / 1000s+2k+2.
-      val source = new RRSource(spark, m1, cpe1)
-      def stored(offset: Int): RRCollection = {
-        val coll = source.collection(r.theta0.toInt, c.seed * 2 + offset, subsim)
-        for (k <- 1 until r.iterations) source.appendTo(coll, coll.numSets, c.seed * 1000 + k * 2 + offset, subsim)
-        coll
-      }
-      val (r1, r2) = (stored(1), stored(2))
-      assert((0 until r1.numSets).exists(s => r1.setMembers(s).toSeq != r2.setMembers(s).toSeq))
-      val or = Search.rmWithOracle(new RMProblem(r1, budgets1.map(_ * (1 + c.rho / 2)), costs1), c.tau)
-      assert(or.alloc == r.alloc)
-
-      // Alg 6 line 3's q, from θ₀ and θ_max before rounding.
-      val deltaP = c.delta / 4
-      val mus = Array(RMA.muOf(costs1(0), 1.0, (1 + c.rho) * budgets1(0)))
-      val thMax = RMA.thetaMax(g.n, 1.0, r.lambda, c.eps, deltaP, c.rho, budgets1(0), mus)
-      val theta0 = 4.0 * g.n * (2 + c.rho / 3) / (c.rho * c.rho * budgets1(0)) * math.log(1 / deltaP)
-      val tMax = math.max(1, math.ceil(math.log(thMax / theta0) / math.log(2)).toInt)
-      val q = math.log(3 * tMax / deltaP)
-      val feasible = RMA.ub(r2.piOf(0, r.alloc(0)), r2.scalePerSet, q) <=
-        (1 + c.rho) * budgets1(0) - r.alloc(0).map(costs1(0)).sum + 1e-9
-      val lbS = RMA.lb(Alloc.piTotal(r2, r.alloc), r2.scalePerSet, q)
-      val ubO = RMA.ub(RMA.seekUB(r1, r.alloc, or.info, r.lambda, 1), r1.scalePerSet, q)
-      val beta = if (ubO <= 0) 1.0 else lbS / ubO
-      assert(beta == r.beta && feasible == r.feasibleAtStop, s"subsim=$subsim")
-      // The returned result satisfies the stop rule.
-      assert((r.beta >= r.lambda - c.eps && r.feasibleAtStop) || r.numSets >= r.thetaMax)
+      val r = RMA.run(spark, m1, Array(1.0), Array(4.0), Array(costs(0)), c)
+      val rounds = replayRounds(m1, Array(1.0), Array(4.0), Array(costs(0)), c, r)
+      assertRoundsReplay(rounds, r, c, s"subsim=$subsim")
     }
+  }
+
+  test("RMA's infeasible branch: tight budgets fail R₂'s feasibility check, and RMA keeps doubling") {
+    // Cheap seeds and tight budgets: the allocation's payment is mostly
+    // engagement revenue, and R₂'s upper bound on it overshoots (1+ϱ)B at θ₀.
+    val tightCosts = costs.map(_.map(_ * 0.3))
+    val tight = Array(2.0, 2.5)
+    val c = cfg.copy(seed = 6L)
+    val r = RMA.run(spark, model, cpe, tight, tightCosts, c)
+    val rounds = replayRounds(model, cpe, tight, tightCosts, c, r)
+    assertRoundsReplay(rounds, r, c, "tight budgets")
+    // Some round met β ≥ λ−ε and doubled only because an advertiser's bound
+    // exceeded its budget.
+    assert(rounds.init.exists { case (_, beta, feasible) => beta >= r.lambda - c.eps && feasible.contains(false) })
   }
 }

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicLong
+import java.util.concurrent.locks.LockSupport
 import org.scalatest.funsuite.AnyFunSuite
 
 class SearchSpec extends AnyFunSuite {
@@ -111,5 +114,57 @@ class SearchSpec extends AnyFunSuite {
     val prob = TestInstances.randomDeterministicInstance(11, n = 6, h = 2)
     val r = Search.run(prob, tau = 0.01, bMin = 2)
     assert(r.best != null)
+  }
+
+  test("Search reports its work: path calls equal the sequential loop's, b = 0, 1, ≥ 2 all seen") {
+    val seen = scala.collection.mutable.Set.empty[Int]
+    for (kind <- 0 to 2; seed <- 1 to 5; h <- Seq(2, 3, 5); scale <- Seq(0.25, 1.0, 4.0); bMin <- Seq(1, 2)) {
+      val prob = TestInstances.searchInstance(kind, seed, h, scale)
+      val got = Search.run(prob, tau = 0.1, bMin = bMin).info
+      val want = SequentialSearch.run(prob, tau = 0.1, bMin = bMin).info
+      assert(got.calls == want.calls && got.calls >= 1, s"kind=$kind seed=$seed h=$h")
+      assert(got.discarded == want.discarded && got.discarded <= got.calls + 1)
+      if (got.t1.isDefined) seen += math.min(got.b1, 2)
+      if (got.t2.isDefined) seen += math.min(got.b2, 2)
+    }
+    assert(seen == Set(0, 1, 2), s"boundary b classes seen: $seen")
+  }
+
+  test("no speculative call outlives Search.run, and calls run on several threads") {
+    // Sessions whose gain takes ~0.2 ms and records when it returned and on
+    // which thread: a call still running after `run` returns would record a
+    // later time. With b_min = h+1 every call falls short, γ only moves
+    // down, and the call for the next γ up is still running when the search
+    // stops.
+    val lastGain = new AtomicLong(0L)
+    val threads = ConcurrentHashMap.newKeySet[String]()
+    for (seed <- 1 to 3; bMin <- Seq(2, 6)) {
+      val inner = TestInstances.searchInstance(0, seed, 5, 1.0)
+      val slow = new RevenueOracle {
+        def n: Int = inner.n
+        def h: Int = inner.h
+        def cpe(i: Int): Double = inner.oracle.cpe(i)
+        def piOf(i: Int, xs: Iterable[Int]): Double = inner.oracle.piOf(i, xs)
+        override def piSingle(i: Int, u: Int): Double = inner.oracle.piSingle(i, u)
+        def newSession(): RevenueSession = new RevenueSession {
+          private val s = inner.oracle.newSession()
+          def gain(u: Int, i: Int): Double = {
+            LockSupport.parkNanos(200000L)
+            threads.add(Thread.currentThread.getName)
+            lastGain.set(System.nanoTime())
+            s.gain(u, i)
+          }
+          def add(u: Int, i: Int): Unit = s.add(u, i)
+          def pi(i: Int): Double = s.pi(i)
+        }
+      }
+      val prob = new RMProblem(slow, inner.budgets, inner.costs)
+      val r = Search.run(prob, tau = 0.05, bMin = bMin)
+      val returned = System.nanoTime()
+      Thread.sleep(20)
+      assert(lastGain.get() < returned, s"seed=$seed bMin=$bMin: a ThresholdGreedy call ran after Search.run returned")
+      assert(r == SequentialSearch.run(inner, tau = 0.05, bMin = bMin))
+    }
+    assert(threads.size > 1, s"gains ran on $threads")
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.SplittableRandom
 import repro.graph.{ExplicitModel, SocialGraph}
+import repro.rrset.RRCollection
 
 /** Shared tiny fixtures for algorithm tests: deterministic and probabilistic
   * micro-instances with exact oracles, plus a random-instance generator for
@@ -72,5 +73,39 @@ object TestInstances {
     val costs = Array.fill(h, n)(0.2 + 1.5 * rng.nextDouble())
     val budgets = Array.fill(h)(1.5 + 4.0 * rng.nextDouble())
     new RMProblem(oracle, budgets, costs)
+  }
+
+  /** Random RR-backed instance, no Spark: `sets` tagged sets of 1–5 distinct
+    * nodes over n nodes, tags uniform over h advertisers. Costs are random;
+    * budget i is `budgetScale` times the mean singleton payment
+    * c_i(u)+π̃_i({u}), times a random factor in [1, 3).
+    */
+  def randomRRInstance(seedVal: Long, n: Int, h: Int, budgetScale: Double, sets: Int = 600): RMProblem = {
+    val rng = new SplittableRandom(seedVal)
+    val cpe = Array.fill(h)(0.5 + rng.nextDouble())
+    val rr = new RRCollection(n, cpe)
+    for (_ <- 0 until sets) {
+      val members = Array.fill(1 + rng.nextInt(5))(rng.nextInt(n)).distinct
+      rr.add(rng.nextInt(h), members, members.length)
+    }
+    rr.rebuildIndex()
+    val costs = Array.fill(h, n)(0.2 + 2.0 * rng.nextDouble())
+    val budgets = Array.tabulate(h) { i =>
+      val meanPay = (0 until n).map(u => costs(i)(u) + rr.piSingle(i, u)).sum / n
+      budgetScale * meanPay * (1 + 2 * rng.nextDouble())
+    }
+    new RMProblem(rr, budgets, costs)
+  }
+
+  /** The instance families Search is checked on: `kind` 0 is RR-backed, 1 an
+    * exact deterministic instance, 2 an exact probabilistic one. Budgets are
+    * scaled by `budgetScale`, from tight (b ≥ 2 at small γ) to loose (b = 0).
+    */
+  def searchInstance(kind: Int, seedVal: Long, h: Int, budgetScale: Double): RMProblem = kind match {
+    case 0 => randomRRInstance(seedVal, 30, h, budgetScale)
+    case k =>
+      val p = if (k == 1) randomDeterministicInstance(seedVal, n = 7, h = h)
+              else randomProbabilisticInstance(seedVal, n = 6, h = h)
+      new RMProblem(p.oracle, p.budgets.map(_ * budgetScale), p.costs)
   }
 }

@@ -140,4 +140,33 @@ class ThresholdGreedySpec extends AnyFunSuite {
       assert(r.b == 0, s"seed=$seed: no advertiser can deplete when gamma > gammaMax")
     }
   }
+
+  test("exact on both oracles over a γ sweep: π(S⃗), Fill continuing the session, Greedy's π") {
+    var kept = 0; var rebuilt = 0
+    for (kind <- 0 to 2; seed <- 1 to 6; h <- Seq(2, 3, 5); scale <- Seq(0.5, 1.0, 2.0)) {
+      val prob = TestInstances.searchInstance(kind, seed, h, scale)
+      for (k <- 0 to 8) {
+        val gamma = prob.gammaMax * 1.1 * k / 8
+        val r = ThresholdGreedy.run(prob, gamma)
+        val want = SequentialSearch.thresholdGreedy(prob, gamma)
+        val where = s"kind=$kind seed=$seed h=$h scale=$scale gamma=$gamma"
+        assert(r.pi == Alloc.piTotal(prob.oracle, r.alloc), where)
+        // Fill from S⃗′ in a fresh session, S⃗′ chosen by piOf: same allocation.
+        assert(r.alloc == want.alloc && r.b == want.b, where)
+        if (want.keptS) kept += 1 else rebuilt += 1
+      }
+      for (i <- 0 until h) {
+        val (set, pi) = Greedy.scored(prob, (0 until prob.n).toVector, i)
+        assert(set == Greedy.run(prob, (0 until prob.n).toVector, i))
+        assert(pi == prob.oracle.piOf(i, set), s"kind=$kind seed=$seed h=$h ad=$i")
+      }
+    }
+    assert(kept > 0 && rebuilt > 0, s"kept S⃗ $kept times, rebuilt $rebuilt times")
+  }
+
+  test("a cancelled call stops with a CancellationException") {
+    val prob = TestInstances.searchInstance(0, 1, 2, 1.0)
+    val flag = new java.util.concurrent.atomic.AtomicBoolean(true)
+    assertThrows[java.util.concurrent.CancellationException](ThresholdGreedy.run(prob, 0.0, flag))
+  }
 }

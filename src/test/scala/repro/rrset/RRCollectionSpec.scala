@@ -155,4 +155,32 @@ class RRCollectionSpec extends AnyFunSuite {
     assert(e2.getMessage.contains(s"${2L * Int.MaxValue + 2} incidences"))
     assert(c.numSets == 1 && c.totalNodes == 2 && c.singletonCount(1, 0) == 1)
   }
+
+  test("piOf from several threads at once equals the sequential values") {
+    val rng = new java.util.SplittableRandom(17)
+    val n = 200; val h = 3
+    val c = mk(n, Array(1.0, 2.0, 0.5), Seq.fill(20000) {
+      (rng.nextInt(h), Seq.fill(1 + rng.nextInt(12))(rng.nextInt(n)).distinct)
+    })
+    val queries = Vector.fill(400)((rng.nextInt(h), Vector.fill(1 + rng.nextInt(30))(rng.nextInt(n))))
+    val want = queries.map { case (i, xs) => c.piOf(i, xs) }
+    val threads = 4
+    val got = Array.ofDim[Double](threads, queries.size)
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val workers = (0 until threads).map { t =>
+      val w = new Thread(() => {
+        start.await()
+        // each thread walks the queries from a different offset
+        for (k <- queries.indices) {
+          val q = (k + t * 97) % queries.size
+          got(t)(q) = c.piOf(queries(q)._1, queries(q)._2)
+        }
+      })
+      w.start()
+      w
+    }
+    start.countDown()
+    workers.foreach(_.join())
+    for (t <- 0 until threads) assert(got(t).toVector == want, s"thread $t")
+  }
 }
