@@ -33,7 +33,10 @@ object RMA {
       maxSetsCap: Int = 64_000_000,
   )
 
-  /** Run diagnostics alongside the solution. */
+  /** Run diagnostics alongside the solution. `r2Sets` is |R₂| at the stop
+    * and `r2Members` the set members its last check generated: each R₂ set
+    * ends at its first seed, so this is at most R₂'s incidence count.
+    */
   final case class Result(
       alloc: Alloc,
       iterations: Int,
@@ -44,6 +47,8 @@ object RMA {
       theta0: Long,
       thetaMax: Long,
       millis: Long,
+      r2Sets: Int,
+      r2Members: Long,
   )
 
   /** θ̂_max, θ̄_max and θ_max of Theorem 4.2 (with δ already halved etc. by
@@ -133,7 +138,8 @@ object RMA {
     val th0 = math.min(cfg.maxSetsCap.toLong, math.max(256L, theta0.toLong)).toInt
     val r1 = source.collection(th0, cfg.seed * 2 + 1, cfg.subsim)
     // R₂ only scores the allocation Search returns, so it is kept as its
-    // (num, seed) batches and regenerated against each round's allocation.
+    // (num, seed) batches and regenerated against each round's allocation,
+    // each set stopping at its first seed.
     var r2 = Vector((th0, cfg.seed * 2 + 2))
 
     var iter = 0
@@ -145,13 +151,14 @@ object RMA {
       val allocA = or.alloc
       val z = seekUB(r1, allocA, or.info, lam, h)
       // Feasibility (lines 8–11) and π̃(S⃗*, R₂) on R₂.
-      val scale2 = n.toDouble * gamma / r2.map(_._1).sum
-      val covered = source.coverage(allocA, r2, cfg.subsim)
+      val r2Sets = r2.map(_._1).sum
+      val scale2 = n.toDouble * gamma / r2Sets
+      val cov = source.coverage(allocA, r2, cfg.subsim)
       var feasible = true
       var piS = 0.0
       var i = 0
       while (i < h) {
-        val pi = covered(i) * scale2
+        val pi = cov.covered(i) * scale2
         piS += pi
         val ci = allocA(i).map(costs(i)).sum
         if (ub(pi, scale2, q) > (1 + cfg.rho) * budgets(i) - ci + 1e-9) feasible = false
@@ -163,7 +170,7 @@ object RMA {
       val reachedThetaMax = r1.numSets >= thMax || r1.numSets >= cfg.maxSetsCap
       if ((beta >= lam - cfg.eps && feasible) || reachedThetaMax) {
         result = Result(allocA, iter, r1.numSets, beta, feasible, lam,
-          th0.toLong, thMax.toLong, (System.nanoTime() - t0) / 1000000L)
+          th0.toLong, thMax.toLong, (System.nanoTime() - t0) / 1000000L, r2Sets, cov.members)
       } else {
         // R₁ and R₂ have the same size and grow by the same count.
         val grow = math.min(r1.numSets.toLong, cfg.maxSetsCap.toLong - r1.numSets).toInt

@@ -28,14 +28,6 @@ trait RevenueOracle {
 
   /** Fresh incremental session starting from the empty allocation. */
   def newSession(): RevenueSession
-
-  /** `π(S⃗) = Σ_i π_i(S_i)` for a full allocation. */
-  def piTotal(alloc: IndexedSeq[Iterable[Int]]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < h) { s += piOf(i, alloc(i).toSeq); i += 1 }
-    s
-  }
 }
 
 /** Incremental marginal-gain engine over a growing allocation `S⃗`.

@@ -36,6 +36,10 @@ final class RRSamplerState(
     * `queue` (which must have capacity n); `stamp`/`cur` implement the
     * visited set without clearing. Returns the set size.
     *
+    * With a non-null h·n bitset `stop`, the reverse BFS ends at the first
+    * visited node u (the root included) whose bit `ad·n + u` is set; u is
+    * then the last member. Until then the draws are those of the full BFS.
+    *
     * `subsim = false`: per-in-edge Bernoulli flips.
     * `subsim = true`: geometric-jump ("skip") sampling against the node's max
     * in-edge probability with thinning `p_e/maxP` — the SUBSIM idea of not
@@ -44,14 +48,16 @@ final class RRSamplerState(
     */
   def generate(ad: Int, root: Int, rng: SplittableRandom,
                queue: Array[Int], stamp: Array[Int], cur: Int,
-               subsim: Boolean): Int = {
+               subsim: Boolean, stop: Array[Long] = null): Int = {
     val probs = probRev(ad)
     val mp = maxP(ad)
     val lq = logQ(ad)
+    val base = ad.toLong * n
     var head = 0
     var tail = 0
     queue(tail) = root; tail += 1
     stamp(root) = cur
+    if (stop != null && RRSamplerState.hit(stop, base + root)) return tail
     while (head < tail) {
       val v = queue(head); head += 1
       val begin = revHead(v)
@@ -62,7 +68,10 @@ final class RRSamplerState(
           val pe = probs(p)
           if (pe > 0 && rng.nextDouble() < pe) {
             val u = revSrc(p)
-            if (stamp(u) != cur) { stamp(u) = cur; queue(tail) = u; tail += 1 }
+            if (stamp(u) != cur) {
+              stamp(u) = cur; queue(tail) = u; tail += 1
+              if (stop != null && RRSamplerState.hit(stop, base + u)) return tail
+            }
           }
           p += 1
         }
@@ -75,7 +84,10 @@ final class RRSamplerState(
           // thinning: candidate succeeds with pe/pmax
           if (pe > 0 && rng.nextDouble() * pmax < pe) {
             val u = revSrc(p)
-            if (stamp(u) != cur) { stamp(u) = cur; queue(tail) = u; tail += 1 }
+            if (stamp(u) != cur) {
+              stamp(u) = cur; queue(tail) = u; tail += 1
+              if (stop != null && RRSamplerState.hit(stop, base + u)) return tail
+            }
           }
           p = RRSamplerState.jump(p + 1, end, rng, logq)
         }
@@ -84,17 +96,22 @@ final class RRSamplerState(
     tail
   }
 
-  /** `count` RR sets drawn from `rng`, each handed to `sink` as soon as it is
-    * made. Per set: the advertiser, then the root, then the reverse BFS.
+  /** Sets `first until first + count` of the batch seeded `seed`, each
+    * handed to `sink` as soon as it is made. Set k draws its advertiser, then
+    * its root, then its reverse BFS from its own stream `stream(seed, k)`, so
+    * a batch's sets do not depend on how it is cut into ranges. A sink with a
+    * `stopAt` bitset gets each set cut at its first marked member.
     */
-  def sample(count: Int, rng: SplittableRandom, subsim: Boolean, sink: RRSink[_]): Unit = {
+  def sample(first: Int, count: Int, seed: Long, subsim: Boolean, sink: RRSink[_]): Unit = {
     val queue = new Array[Int](n)
     val stamp = new Array[Int](n)
+    val stop = sink.stopAt
     var k = 0
     while (k < count) {
+      val rng = RRSamplerState.stream(seed, first + k)
       val ad = sampleAd(rng)
       val root = rng.nextInt(n)
-      val sz = generate(ad, root, rng, queue, stamp, k + 1, subsim)
+      val sz = generate(ad, root, rng, queue, stamp, k + 1, subsim, stop)
       sink.add(ad, queue, sz)
       k += 1
     }
@@ -102,6 +119,23 @@ final class RRSamplerState(
 }
 
 object RRSamplerState {
+
+  /** The random stream of set `k` of the batch seeded `seed`: a SplitMix64
+    * mix of both, then `split()` for a stream gamma of its own, so the streams
+    * of neighbouring sets (or seeds) do not overlap as `seed + k` would.
+    */
+  def stream(seed: Long, k: Int): SplittableRandom =
+    new SplittableRandom(mix64(mix64(seed) + k)).split()
+
+  private def mix64(x: Long): Long = {
+    var z = x + 0x9E3779B97F4A7C15L
+    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+    z ^ (z >>> 31)
+  }
+
+  /** Whether bit `key` of the bitset `bits` is set. */
+  def hit(bits: Array[Long], key: Long): Boolean = (bits((key >>> 6).toInt) & (1L << key)) != 0
 
   /** `from` plus a Geometric(1 - e^logq) number of failures, clamped to
     * `end`: the skip is taken in `Long`, so a tiny pmax (a skip past
@@ -159,47 +193,53 @@ object RRSamplerState {
 
 /** Consumer of one sampling task's RR sets, fed in generation order. A set's
   * members are `members(0 until size)`, valid only during the call; `result`
-  * is what the task returns to the driver.
+  * is what the task returns to the driver. A sink that only asks whether a
+  * set meets an allocation sets `stopAt` to the allocation's h·n bitset; its
+  * sets then end at their first member in it (see [[RRSamplerState.generate]]).
   */
 abstract class RRSink[T] {
+  def stopAt: Array[Long] = null
   def add(tag: Int, members: Array[Int], size: Int): Unit
   def result(): T
 }
 
-/** Distributed RR-set generation: one Spark job per call, each batch
-  * `(num, seed)` fanned out over a fixed partition count whose tasks generate
-  * their sets in one loop ([[RRSamplerState.sample]]) and pass them to a
-  * per-task [[RRSink]]. Deterministic in `seed`.
+/** Distributed RR-set generation: one Spark job per call. Each batch
+  * `(num, seed)` is cut into one contiguous range of set indices per core;
+  * each range is one task that generates its sets in one loop
+  * ([[RRSamplerState.sample]]) and passes them to a per-task [[RRSink]].
+  * Set k of a batch depends only on `(seed, k)`, so results depend on the
+  * seed, never on the core count.
   */
-final class RRSource(spark: SparkSession, model: InfluenceModel,
-                     val cpeArr: Array[Double], partitions: Int = 64) {
+final class RRSource(spark: SparkSession, model: InfluenceModel, val cpeArr: Array[Double]) {
 
   val n: Int = model.graph.n
   private val bc: Broadcast[RRSamplerState] =
     spark.sparkContext.broadcast(RRSamplerState(model, cpeArr))
 
-  /** Generate every batch `(num, seed)` in one Spark job. A batch is split
-    * over `min(partitions, num/256 + 1)` tasks, each drawing its share of the
-    * `num` sets from its own seed; `sink(state, count)` makes the consumer of
-    * one task's `count` sets. Returns each task's `result()`, batch by batch
-    * in task order. The same batch always yields the same sets, whatever the
-    * sink.
+  /** Generate every batch `(num, seed)` in one Spark job. A batch is cut into
+    * `min(defaultParallelism, num/256 + 1)` contiguous ranges of its set
+    * indices, one task each; `sink(state, count)` makes the consumer of one
+    * range's `count` sets. Returns each task's `result()`, batch by batch in
+    * range order, so every sink sees the batch's sets in index order. The
+    * same batch always yields the same sets, whatever the sink.
     */
   def sample[T: ClassTag](batches: Seq[(Int, Long)], subsim: Boolean)(
       sink: (RRSamplerState, Int) => RRSink[T]): Array[T] = {
+    val cores = spark.sparkContext.defaultParallelism
     val tasks = for {
       (num, seed) <- batches.toVector if num > 0
-      parts = math.min(partitions, num / 256 + 1)
+      parts = math.min(cores, num / 256 + 1)
       pid <- 0 until parts
-    } yield (seed * 1000003L + pid * 7919L + 17L, num / parts + (if (pid < num % parts) 1 else 0))
+      first = (num.toLong * pid / parts).toInt
+    } yield (seed, first, (num.toLong * (pid + 1) / parts).toInt - first)
     if (tasks.isEmpty) return Array.empty[T]
     val state = bc
     spark.sparkContext
       .parallelize(tasks, tasks.length)
-      .map { case (taskSeed, count) =>
+      .map { case (seed, first, count) =>
         val st = state.value
         val out = sink(st, count)
-        st.sample(count, new SplittableRandom(taskSeed), subsim, out)
+        st.sample(first, count, seed, subsim, out)
         out.result()
       }
       .collect()
@@ -224,13 +264,14 @@ final class RRSource(spark: SparkSession, model: InfluenceModel,
     c
   }
 
-  /** Entry i counts the tag-i sets, among those `batches` generate, that
-    * contain a node of `alloc(i)`: the covered count behind
-    * `RRCollection.piOf(i, alloc(i))` on a collection appended from the same
-    * batches. The sets are never stored: each task checks them against a
-    * broadcast h·n bitset of `alloc` and returns h counts.
+  /** Scores `alloc` on the sets `batches` generate, without storing them.
+    * `covered(i)` counts the tag-i sets that contain a node of `alloc(i)`:
+    * the covered count behind `RRCollection.piOf(i, alloc(i))` on a
+    * collection appended from the same batches. Each task cuts a set's
+    * reverse BFS at its first node in a broadcast h·n bitset of `alloc` and
+    * returns h counts; `members` is how many set members were generated.
     */
-  def coverage(alloc: IndexedSeq[Iterable[Int]], batches: Seq[(Int, Long)], subsim: Boolean): Array[Long] = {
+  def coverage(alloc: IndexedSeq[Iterable[Int]], batches: Seq[(Int, Long)], subsim: Boolean): RRSource.Coverage = {
     val h = cpeArr.length
     require(alloc.length == h, s"${alloc.length} seed sets for $h advertisers")
     val bits = new Array[Long](((h.toLong * n + 63) >>> 6).toInt)
@@ -242,13 +283,18 @@ final class RRSource(spark: SparkSession, model: InfluenceModel,
     try {
       val perTask = sample(batches, subsim)((st, _) => new RRSource.Coverer(st.h, st.n, seeds.value))
       val total = new Array[Long](h)
-      for (c <- perTask; i <- 0 until h) total(i) += c(i)
-      total
+      for ((c, _) <- perTask; i <- 0 until h) total(i) += c(i)
+      RRSource.Coverage(total, perTask.iterator.map(_._2).sum)
     } finally seeds.destroy()
   }
 }
 
 object RRSource {
+
+  /** [[RRSource.coverage]]'s answer: covered sets per advertiser, and the set
+    * members generated to find them.
+    */
+  final case class Coverage(covered: Array[Long], members: Long)
 
   /** Packs a task's sets into per-set tags and sizes plus concatenated members. */
   private final class Packer(count: Int) extends RRSink[(Array[Byte], Array[Int], Array[Int])] {
@@ -274,20 +320,20 @@ object RRSource {
     def result(): (Array[Byte], Array[Int], Array[Int]) = (tags, sizes, java.util.Arrays.copyOf(nodes, len))
   }
 
-  /** Counts, per tag, the sets holding a node whose bit `tag·n + u` is set. */
-  private final class Coverer(h: Int, n: Int, seeds: Array[Long]) extends RRSink[Array[Long]] {
+  /** Counts, per tag, the sets that meet `seeds`: a set cut at its first
+    * marked member ends with it, and a set that ends unmarked meets none.
+    */
+  private final class Coverer(h: Int, n: Int, seeds: Array[Long]) extends RRSink[(Array[Long], Long)] {
     private val covered = new Array[Long](h)
+    private var members = 0L
 
-    def add(tag: Int, members: Array[Int], size: Int): Unit = {
-      val base = tag.toLong * n
-      var p = 0
-      while (p < size) {
-        val key = base + members(p)
-        if ((seeds((key >>> 6).toInt) & (1L << key)) != 0) { covered(tag) += 1; p = size }
-        else p += 1
-      }
+    override def stopAt: Array[Long] = seeds
+
+    def add(tag: Int, set: Array[Int], size: Int): Unit = {
+      if (RRSamplerState.hit(seeds, tag.toLong * n + set(size - 1))) covered(tag) += 1
+      members += size
     }
 
-    def result(): Array[Long] = covered
+    def result(): (Array[Long], Long) = (covered, members)
   }
 }

@@ -9,7 +9,11 @@ import repro.graph.{ExplicitModel, InfluenceModel, SocialGraph, WeightedCascade}
   * the batches of RMA's R₂ seed scheme (θ₀ sets seeded `2s+2`, then doubling
   * batches seeded `1000s+2k+2`), each advertiser's covered count times
   * `nΓ/|R|` must equal, as a double, `piOf(i, S_i)` on a collection built
-  * from the same batches by `collection` and `appendTo`.
+  * from the same batches by `collection` and `appendTo`. Each scored set
+  * ends at its first seed in BFS order, so the members `coverage` generates
+  * are, per stored set, the prefix up to its first seed or the whole set:
+  * the stored incidence count for an empty allocation, one per set when
+  * every node is a seed.
   */
 object CoverageEquivalence extends Properties("RRSource") {
 
@@ -18,14 +22,14 @@ object CoverageEquivalence extends Properties("RRSource") {
 
   private lazy val spark = SparkSpec.shared
 
-  private def graph(seed: Long): SocialGraph = {
+  private[rrset] def graph(seed: Long): SocialGraph = {
     val rng = new SplittableRandom(seed)
     SocialGraph.fromPairs(40,
       Seq.fill(180)((rng.nextInt(40), rng.nextInt(40))).filter { case (a, b) => a != b }.distinct)
   }
 
   /** Explicit per-advertiser probabilities mixing zero, tiny, moderate and near-1 values. */
-  private def explicit(g: SocialGraph, h: Int, seed: Long): InfluenceModel = {
+  private[rrset] def explicit(g: SocialGraph, h: Int, seed: Long): InfluenceModel = {
     val rng = new SplittableRandom(seed)
     new ExplicitModel(g, Array.fill(h)(Array.fill(g.m) {
       val x = rng.nextDouble()
@@ -56,10 +60,19 @@ object CoverageEquivalence extends Properties("RRSource") {
       val stored = source.collection(batches.head._1, batches.head._2, subsim)
       batches.tail.foreach { case (num, seed) => source.appendTo(stored, num, seed, subsim) }
       val alloc = Vector.tabulate(h)(i => owner.indices.filter(owner(_) == i).toVector)
-      val covered = source.coverage(alloc, batches, subsim)
+      val cov = source.coverage(alloc, batches, subsim)
       val sets = batches.map(_._1).sum
       val scale = g.n.toDouble * cpe.sum / sets
+      val prefixes = (0 until sets).map { s =>
+        val ms = stored.setMembers(s)
+        ms.indexWhere(owner(_) == stored.tagOf(s)) + 1 match { case 0 => ms.length; case j => j }
+      }.sum
+      val none = source.coverage(Vector.fill(h)(Vector.empty[Int]), batches, subsim)
+      val all = source.coverage(Vector.fill(h)(0 until g.n), batches, subsim)
       stored.numSets == sets &&
-        (0 until h).forall(i => covered(i) * scale == stored.piOf(i, alloc(i)))
+        (0 until h).forall(i => cov.covered(i) * scale == stored.piOf(i, alloc(i))) &&
+        cov.members == prefixes && cov.members <= stored.totalNodes &&
+        none.members == stored.totalNodes && none.covered.forall(_ == 0) &&
+        all.members == sets && all.covered.sum == sets
     }
 }

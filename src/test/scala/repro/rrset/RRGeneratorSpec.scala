@@ -123,6 +123,25 @@ class RRGeneratorSpec extends SparkSpec {
     }
   }
 
+  test("coverage cuts each set at its first seed and counts the members it generated") {
+    // p=1 chain: the set rooted at r is {r, r−1, …, 0} in BFS order, so with
+    // seed 1 the sets rooted at 2 and 3 stop before reaching 0.
+    val gc = SocialGraph.fromPairs(4, Seq((0, 1), (1, 2), (2, 3)))
+    val sc = new RRSource(spark, new ExplicitModel(gc, Array(Array(1.0, 1.0, 1.0))), Array(1.0))
+    val batches = Seq((2000, 6L), (1000, 7L))
+    val stored = sc.collection(2000, seed = 6)
+    sc.appendTo(stored, 1000, seed = 7)
+    val none = sc.coverage(Vector(Vector.empty), batches, subsim = false)
+    assert(none.members == stored.totalNodes && none.covered.sameElements(Array(0L)))
+    val one = sc.coverage(Vector(Vector(1)), batches, subsim = false)
+    assert(one.members < stored.totalNodes)
+    val roots = (0 until stored.numSets).map(stored.setMembers(_)(0))
+    assert(one.covered(0) == roots.count(_ >= 1))
+    assert(one.members == roots.map(r => if (r >= 1) r else 1).sum)
+    val all = sc.coverage(Vector(0 until 4), batches, subsim = false)
+    assert(all.members == stored.numSets && all.covered(0) == stored.numSets)
+  }
+
   test("SUBSIM on p=1 graph still reaches all ancestors (maxP≈1 fallback)") {
     val gc = SocialGraph.fromPairs(3, Seq((0, 1), (1, 2)))
     val mc = new ExplicitModel(gc, Array(Array(1.0, 1.0)))
