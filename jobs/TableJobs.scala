@@ -9,8 +9,6 @@ object JobSpark {
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", "64")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 }
 

@@ -1,6 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.Alloc.Alloc
 import repro.rrset.RRCollection
 
@@ -45,14 +44,5 @@ final class Evaluator(coll: RRCollection, costs: Array[Array[Double]],
     val r = revenue(a)
     val t = r + seedCost(a)
     if (t <= 0) 0.0 else r / t
-  }
-
-  /** The allocation as a DataFrame (ad, node, cost) — for SQL-side
-    * accounting reports that the DuckDB oracle cross-checks in tests.
-    */
-  def allocDf(spark: SparkSession, a: Alloc): DataFrame = {
-    import spark.implicits._
-    val rows = for (i <- 0 until h; u <- a(i)) yield (i, u, costs(i)(u))
-    rows.toDF("ad", "node", "cost")
   }
 }

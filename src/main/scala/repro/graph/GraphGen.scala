@@ -1,18 +1,22 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.SparkSession
+import scala.util.hashing.MurmurHash3
 
-/** Synthetic social-network generation (DataFrame API).
+/** Synthetic social-network generation.
   *
   * The paper evaluates on Flixster / LastFM / DBLP / LiveJournal. Those
   * datasets (and the action logs used to learn TIC probabilities) are not
   * available offline, so we generate heavy-tailed directed graphs of
   * comparable *relative* structure at reduced scale — see DESIGN.md §3 for
-  * the substitution argument. Generation is deterministic in `seed` because
-  * `spark.range` is pinned to a fixed partition count and edges are
-  * de-duplicated into a canonical set.
+  * the substitution argument. Generation is deterministic in `seed`: the
+  * candidate arcs are cut into a fixed number of index ranges, each range
+  * draws from its own streams seeded from `seed` and the range index, and the
+  * arcs are de-duplicated into a sorted canonical set. The ranges and streams
+  * are those of Spark's `rand(seed)` over `spark.range(0, raw, 1, 64)`, which
+  * the datasets were first generated with; every benchmark input and Table 1
+  * rest on these exact graphs, and `GraphGenSpec` pins each dataset's arc
+  * count and checksum.
   */
 object GraphGen {
 
@@ -63,61 +67,99 @@ object GraphGen {
 
   val AllDatasets: Seq[DatasetSpec] = Seq(Lastfm, Flixster, Dblp, LiveJournal)
 
-  /** Zipf-ranked key column in `[0, nKeys)` via inverse-CDF over `1/k^alpha`.
-    * Rank 0 is the heaviest node.
+  /** Ranges the candidate arcs are drawn in, each from its own two streams. */
+  private val Ranges = 64
+
+  /** Spark's `XORShiftRandom` (the generator behind `rand(seed)`): its seed
+    * hash, xorshift step and `java.util.Random`'s `nextDouble`.
     */
-  private def zipfCol(randCol: org.apache.spark.sql.Column, nKeys: Int, alpha: Double) = {
-    // Continuous approximation of the inverse CDF of a zipf(alpha) rank
-    // distribution on [1, nKeys]: k ~ ((1-u) + u*nKeys^(1-alpha))^(1/(1-alpha)).
-    val oneMinus = 1.0 - alpha
-    val top = math.pow(nKeys.toDouble, oneMinus)
-    least(
-      lit(nKeys - 1),
-      greatest(
-        lit(0),
-        (pow(lit(1.0) - randCol + randCol * top, lit(1.0 / oneMinus)) - 1.0)
-          .cast(IntegerType)))
+  private final class XorShift(init: Long) {
+    private var s: Long = {
+      val bytes = java.nio.ByteBuffer.allocate(8).putLong(init).array()
+      val lo = MurmurHash3.bytesHash(bytes, MurmurHash3.arraySeed)
+      val hi = MurmurHash3.bytesHash(bytes, lo)
+      (hi.toLong << 32) | (lo.toLong & 0xFFFFFFFFL)
+    }
+    private def next(bits: Int): Int = {
+      s ^= s << 21; s ^= s >>> 35; s ^= s << 4
+      (s & ((1L << bits) - 1)).toInt
+    }
+    def nextDouble(): Double = ((next(26).toLong << 27) + next(27)) / (1L << 53).toDouble
   }
 
-  /** Generate the raw candidate-edge DataFrame for `spec` (may contain a few
-    * duplicates/self-loops; `edgesDf` cleans them).
+  /** `count` packed `(src << 32) | dst` arcs from `a`, sorted and deduplicated. */
+  private def sortedDistinct(a: Array[Long], count: Int): Array[Long] = {
+    java.util.Arrays.sort(a, 0, count)
+    var k = 0
+    var i = 0
+    while (i < count) {
+      if (k == 0 || a(i) != a(k - 1)) { a(k) = a(i); k += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(a, k)
+  }
+
+  /** The arcs of `spec` as sorted, distinct, packed `(src << 32) | dst` longs.
+    *
+    * Candidate arc j (of `raw`) belongs to the range p with
+    * `p·raw/64 ≤ j < (p+1)·raw/64`, which draws its source rank from
+    * `XorShift(seed + p)` and its destination rank from
+    * `XorShift(seed + 1 + p)`.
     */
-  private def candidates(spark: SparkSession, spec: DatasetSpec): DataFrame = {
+  private def arcs(spec: DatasetSpec): Array[Long] = {
     // Oversample by 30% so the deduplicated count lands near targetArcs.
     val raw = (spec.targetArcs * 1.3).toLong
-    val base = spark.range(0, raw, 1, 64)
-    // src and dst both zipf-skewed; dst ranks are decorrelated from src ranks
-    // by a deterministic affine permutation so hubs differ between the two.
-    val prime = 479001599L % spec.n
-    base.select(
-      zipfCol(rand(spec.seed), spec.n, spec.zipfAlpha).as("srcRank"),
-      zipfCol(rand(spec.seed + 1), spec.n, spec.zipfAlpha).as("dstRank"))
-      .select(
-        col("srcRank").cast(IntegerType).as("src"),
-        ((col("dstRank").cast(LongType) * prime + 7L) % spec.n).cast(IntegerType).as("dst"))
-  }
-
-  /** The cleaned, deterministic edge set of `spec` as a DataFrame (src, dst). */
-  def edgesDf(spark: SparkSession, spec: DatasetSpec): DataFrame = {
-    val uniq = candidates(spark, spec)
-      .where(col("src") =!= col("dst"))
-      .distinct()
+    val n = spec.n
+    // Continuous approximation of the inverse CDF of a zipf(alpha) rank
+    // distribution on [1, n]: k ~ ((1-u) + u*n^(1-alpha))^(1/(1-alpha)).
+    // Rank 0 is the heaviest node.
+    val oneMinus = 1.0 - spec.zipfAlpha
+    val top = math.pow(n.toDouble, oneMinus)
+    def rank(u: Double): Int =
+      math.min(n - 1, math.max(0, (StrictMath.pow(1.0 - u + u * top, 1.0 / oneMinus) - 1.0).toInt))
+    // dst ranks are decorrelated from src ranks by a deterministic affine
+    // permutation so hubs differ between the two.
+    val prime = 479001599L % n
+    val packed = new Array[Long](raw.toInt)
+    var k = 0
+    for (p <- 0 until Ranges) {
+      val srcRng = new XorShift(spec.seed + p)
+      val dstRng = new XorShift(spec.seed + 1 + p)
+      var j = p * raw / Ranges
+      while (j < (p + 1) * raw / Ranges) {
+        val s = rank(srcRng.nextDouble())
+        val d = ((rank(dstRng.nextDouble()).toLong * prime + 7L) % n).toInt
+        if (s != d) {
+          // DBLP is undirected: canonicalise each pair to (min, max).
+          packed(k) = if (spec.undirected) pack(math.min(s, d), math.max(s, d)) else pack(s, d)
+          k += 1
+        }
+        j += 1
+      }
+    }
+    val uniq = sortedDistinct(packed, k)
     if (!spec.undirected) uniq
     else {
-      // canonicalise to u<v then emit both directions
-      val und = uniq
-        .select(least(col("src"), col("dst")).as("a"), greatest(col("src"), col("dst")).as("b"))
-        .distinct()
-      und.select(col("a").as("src"), col("b").as("dst"))
-        .unionAll(und.select(col("b").as("src"), col("a").as("dst")))
+      // Emit both directions of every pair.
+      val both = uniq ++ uniq.map(a => pack(dstOf(a), srcOf(a)))
+      java.util.Arrays.sort(both)
+      both
     }
   }
 
+  private def pack(s: Int, d: Int): Long = (s.toLong << 32) | d
+  private def srcOf(a: Long): Int = (a >>> 32).toInt
+  private def dstOf(a: Long): Int = a.toInt
+
   private val cache = scala.collection.concurrent.TrieMap.empty[String, SocialGraph]
 
-  /** Materialised `SocialGraph` for `spec` (cached per JVM — generation is
-    * deterministic so the cache is sound).
+  /** Materialised `SocialGraph` for `spec`, its arcs in (src, dst) order
+    * (cached per JVM — generation is deterministic so the cache is sound).
+    * The graph is built in this JVM without Spark; `spark` is not used.
     */
   def graph(spark: SparkSession, spec: DatasetSpec): SocialGraph =
-    cache.getOrElseUpdate(spec.name, SocialGraph.fromEdgesDf(spec.n, edgesDf(spark, spec)))
+    cache.getOrElseUpdate(spec.name, {
+      val a = arcs(spec)
+      new SocialGraph(spec.n, a.map(srcOf), a.map(dstOf))
+    })
 }

@@ -1,19 +1,14 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.graphx.{Edge => GXEdge, Graph => GXGraph}
-
-/** Compact in-memory directed social graph with CSR adjacency in both
-  * directions.
+/** Compact in-memory directed social graph with a reverse CSR adjacency.
   *
   * Nodes are `0 until n`. Edges are stored once in "edge-id order"
-  * (`src(e)`, `dst(e)` for `e in 0 until m`); the forward and reverse CSR
-  * views carry the original edge id at each position so that per-advertiser
-  * edge-probability arrays (indexed by edge id) can be shared between views.
+  * (`src(e)`, `dst(e)` for `e in 0 until m`); the reverse CSR view carries the
+  * original edge id at each position so that per-advertiser edge-probability
+  * arrays (indexed by edge id) can be read through it.
   *
   * The reverse CSR is what Reverse-Reachable-set generation walks (all
-  * in-neighbours of a node); the forward CSR drives the GraphX/Monte-Carlo
-  * forward cascade.
+  * in-neighbours of a node).
   */
 final class SocialGraph(
     val n: Int,
@@ -31,69 +26,29 @@ final class SocialGraph(
   /** Original edge id of the in-edge at reverse-CSR position `p`. */
   val revEdge: Array[Int] = new Array[Int](m)
 
-  /** Forward CSR: out-edges of `u` are positions `fwdHead(u) until fwdHead(u+1)`. */
-  val fwdHead: Array[Int] = new Array[Int](n + 1)
-  /** Destination node of the out-edge at forward-CSR position `p`. */
-  val fwdDst: Array[Int] = new Array[Int](m)
-  /** Original edge id of the out-edge at forward-CSR position `p`. */
-  val fwdEdge: Array[Int] = new Array[Int](m)
-
   locally {
     var e = 0
-    while (e < m) { revHead(dst(e) + 1) += 1; fwdHead(src(e) + 1) += 1; e += 1 }
+    while (e < m) { revHead(dst(e) + 1) += 1; e += 1 }
     var v = 0
-    while (v < n) { revHead(v + 1) += revHead(v); fwdHead(v + 1) += fwdHead(v); v += 1 }
+    while (v < n) { revHead(v + 1) += revHead(v); v += 1 }
     val rPos = java.util.Arrays.copyOf(revHead, n)
-    val fPos = java.util.Arrays.copyOf(fwdHead, n)
     e = 0
     while (e < m) {
-      val d = dst(e); val s = src(e)
-      revSrc(rPos(d)) = s; revEdge(rPos(d)) = e; rPos(d) += 1
-      fwdDst(fPos(s)) = d; fwdEdge(fPos(s)) = e; fPos(s) += 1
+      val d = dst(e)
+      revSrc(rPos(d)) = src(e); revEdge(rPos(d)) = e; rPos(d) += 1
       e += 1
     }
   }
 
   /** In-degree of node `v`. */
   def inDegree(v: Int): Int = revHead(v + 1) - revHead(v)
-
-  /** Out-degree of node `u`. */
-  def outDegree(u: Int): Int = fwdHead(u + 1) - fwdHead(u)
-
-  /** Edge list as a DataFrame (`src`, `dst`) — for SQL-side checks/reports. */
-  def edgesDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    spark.sparkContext
-      .parallelize(src.indices.map(e => (src(e), dst(e))), math.max(1, m / 200000 + 1))
-      .toDF("src", "dst")
-  }
-
-  /** GraphX view with a per-edge attribute taken from `edgeAttr` (edge-id order). */
-  def toGraphX(spark: SparkSession, edgeAttr: Array[Double]): GXGraph[Int, Double] = {
-    val edges = spark.sparkContext.parallelize(
-      src.indices.map(e => GXEdge(src(e).toLong, dst(e).toLong, edgeAttr(e))),
-      math.max(1, m / 200000 + 1))
-    GXGraph.fromEdges(edges, defaultValue = 0)
-  }
 }
 
 object SocialGraph {
 
-  /** Build from an edge DataFrame with integer columns `src`, `dst` in `[0, n)`.
-    * Edge order is canonicalised (sorted by (src,dst)) so the CSR layout is
-    * deterministic regardless of upstream partitioning.
+  /** Build directly from in-memory pairs (tests). Edge order is canonicalised
+    * (sorted by (src,dst)), so the same pairs in any order give the same graph.
     */
-  def fromEdgesDf(n: Int, edges: DataFrame): SocialGraph = {
-    val rows = edges.select("src", "dst").collect()
-    val pairs = rows.map(r => (r.getInt(0), r.getInt(1))).sortInPlace()
-    val s = new Array[Int](pairs.length)
-    val d = new Array[Int](pairs.length)
-    var i = 0
-    while (i < pairs.length) { s(i) = pairs(i)._1; d(i) = pairs(i)._2; i += 1 }
-    new SocialGraph(n, s, d)
-  }
-
-  /** Build directly from in-memory pairs (tests). */
   def fromPairs(n: Int, pairs: Seq[(Int, Int)]): SocialGraph = {
     val sorted = pairs.sorted
     new SocialGraph(n, sorted.map(_._1).toArray, sorted.map(_._2).toArray)

@@ -192,6 +192,26 @@ class RMASpec extends SparkSpec {
     }
   }
 
+  test("RMA's cap stop: maxSetsCap ends the h=1 doubling run at round 2") {
+    val m1 = new ExplicitModel(g, Array(probs(0)))
+    for (subsim <- Seq(false, true)) {
+      val c0 = cfg.copy(subsim = subsim)
+      // Uncapped, round 1 (θ₀ sets) does not stop and round 2 doubles.
+      val uncapped = RMA.run(spark, m1, Array(1.0), Array(4.0), Array(costs(0)), c0)
+      assert(uncapped.iterations >= 2 && uncapped.numSets >= 2 * uncapped.theta0)
+      // Between θ₀ and 2θ₀: round 2 grows R₁ and R₂ only up to the cap.
+      val cap = (1.5 * uncapped.theta0).toInt
+      val c = c0.copy(maxSetsCap = cap)
+      val r = RMA.run(spark, m1, Array(1.0), Array(4.0), Array(costs(0)), c)
+      val where = s"subsim=$subsim β=${r.beta} feasible=${r.feasibleAtStop}"
+      assert(r.theta0 == uncapped.theta0 && r.iterations == 2, where)
+      assert(r.numSets == cap && r.r2Sets == cap && cap < r.thetaMax, where)
+      // The β/feasibility rule alone would not have stopped the run.
+      assert(!(r.beta >= r.lambda - c.eps && r.feasibleAtStop), where)
+      assert(Alloc.disjoint(r.alloc), where)
+    }
+  }
+
   test("RMA's infeasible branch: tight budgets fail R₂'s feasibility check, and RMA keeps doubling") {
     // Cheap seeds and tight budgets: the allocation's payment is mostly
     // engagement revenue, and R₂'s upper bound on it overshoots (1+ϱ)B at θ₀.

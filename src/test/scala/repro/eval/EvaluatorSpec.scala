@@ -1,9 +1,8 @@
 package repro.eval
 
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 import repro.core.Alloc.Alloc
 import repro.rrset.RRCollection
-import org.apache.spark.sql.functions._
 
 class EvaluatorSpec extends SparkSpec {
 
@@ -62,34 +61,5 @@ class EvaluatorSpec extends SparkSpec {
   test("rateOfReturn of an empty allocation is zero") {
     val ev = new Evaluator(mkColl(), costs, budgets)
     assert(ev.rateOfReturn(Vector(Vector.empty, Vector.empty)) == 0.0)
-  }
-
-  test("allocDf accounting agrees with DuckDB: per-ad totals") {
-    val ev = new Evaluator(mkColl(), costs, budgets)
-    val a: Alloc = Vector(Vector(0, 1), Vector(2, 3))
-    val df = ev.allocDf(spark, a)
-    val perAd = df.groupBy("ad").agg(
-      count(lit(1)).as("seeds"),
-      round(sum(col("cost")), 6).as("totalcost"))
-    Oracle.assertEquivalent(perAd,
-      "SELECT ad, count(*) AS seeds, round(sum(CAST(cost AS DOUBLE)), 6) AS totalcost " +
-        "FROM alloc GROUP BY ad",
-      "alloc" -> df)
-  }
-
-  test("allocDf join with a budget table agrees with DuckDB") {
-    import spark.implicits._
-    val ev = new Evaluator(mkColl(), costs, budgets)
-    val a: Alloc = Vector(Vector(0, 4), Vector(1))
-    val df = ev.allocDf(spark, a)
-    val bdf = budgets.zipWithIndex.map { case (b, i) => (i, b) }.toSeq.toDF("ad", "budget")
-    val joined = df.groupBy("ad").agg(round(sum(col("cost")), 6).as("spent"))
-      .join(bdf, "ad")
-      .select(col("ad"), col("spent"), round(col("budget") - col("spent"), 6).as("remaining"))
-    Oracle.assertEquivalent(joined,
-      """SELECT a.ad, round(sum(CAST(a.cost AS DOUBLE)), 6) AS spent,
-        |       round(any_value(CAST(b.budget AS DOUBLE)) - sum(CAST(a.cost AS DOUBLE)), 6) AS remaining
-        |FROM alloc a JOIN budgets b ON a.ad = b.ad GROUP BY a.ad""".stripMargin,
-      "alloc" -> df, "budgets" -> bdf)
   }
 }

@@ -1,7 +1,6 @@
 package repro.graph
 
-import repro.{Oracle, SparkSpec}
-import org.apache.spark.sql.functions._
+import repro.SparkSpec
 
 class InfluenceModelsSpec extends SparkSpec {
 
@@ -65,17 +64,13 @@ class InfluenceModelsSpec extends SparkSpec {
     assert(wc.prob(0) eq wc.prob(2))
   }
 
-  test("weighted cascade in-probabilities sum to 1 per node with in-edges (DuckDB check)") {
-    import spark.implicits._
+  test("WC in-probabilities sum to 1 per node") {
     val wc = new WeightedCascade(g, 1)
     val p = wc.prob(0)
-    val df = (0 until g.m).map(e => (g.dst(e), p(e))).toDF("dst", "p")
-    val sums = df.groupBy("dst").agg(round(sum(col("p")), 6).as("psum"))
-    Oracle.assertEquivalent(sums,
-      "SELECT dst, round(sum(CAST(p AS DOUBLE)), 6) AS psum FROM probs GROUP BY dst",
-      "probs" -> df)
-    // and every sum is 1
-    assert(sums.collect().forall(r => math.abs(r.getDouble(1) - 1.0) < 1e-5))
+    val sums = new Array[Double](g.n)
+    for (e <- 0 until g.m) sums(g.dst(e)) += p(e)
+    for (v <- 0 until g.n if g.inDegree(v) > 0)
+      assert(math.abs(sums(v) - 1.0) < 1e-9, s"v=$v sum=${sums(v)}")
   }
 
   test("explicit model validates dimensions") {

@@ -1,7 +1,6 @@
 package repro.graph
 
-import repro.{Oracle, SparkSpec}
-import org.apache.spark.sql.functions._
+import repro.SparkSpec
 
 class SocialGraphSpec extends SparkSpec {
 
@@ -10,14 +9,6 @@ class SocialGraphSpec extends SparkSpec {
 
   test("node and edge counts") {
     assert(g.n == 4 && g.m == 5)
-  }
-
-  test("forward CSR lists out-neighbours") {
-    def outs(u: Int) = (g.fwdHead(u) until g.fwdHead(u + 1)).map(g.fwdDst).toSet
-    assert(outs(0) == Set(1, 2))
-    assert(outs(1) == Set(2))
-    assert(outs(2) == Set(0))
-    assert(outs(3) == Set(2))
   }
 
   test("reverse CSR lists in-neighbours") {
@@ -29,15 +20,11 @@ class SocialGraphSpec extends SparkSpec {
   }
 
   test("degrees match CSR") {
-    assert(g.outDegree(0) == 2 && g.inDegree(2) == 3 && g.inDegree(3) == 0)
+    assert(g.inDegree(0) == 1 && g.inDegree(2) == 3 && g.inDegree(3) == 0)
   }
 
   test("edge-id mapping is consistent between views") {
-    // every forward-CSR position maps back to an edge with matching endpoints
-    for (u <- 0 until g.n; p <- g.fwdHead(u) until g.fwdHead(u + 1)) {
-      val e = g.fwdEdge(p)
-      assert(g.src(e) == u && g.dst(e) == g.fwdDst(p))
-    }
+    // every reverse-CSR position maps back to an edge with matching endpoints
     for (v <- 0 until g.n; p <- g.revHead(v) until g.revHead(v + 1)) {
       val e = g.revEdge(p)
       assert(g.dst(e) == v && g.src(e) == g.revSrc(p))
@@ -49,40 +36,12 @@ class SocialGraphSpec extends SparkSpec {
     assert(g2.src.sameElements(g.src) && g2.dst.sameElements(g.dst))
   }
 
-  test("fromEdgesDf round-trips through a DataFrame") {
-    val df = g.edgesDf(spark)
-    val g2 = SocialGraph.fromEdgesDf(4, df)
-    assert(g2.src.sameElements(g.src) && g2.dst.sameElements(g.dst))
-  }
-
-  test("in-degree computation agrees with DuckDB SQL over the edge list") {
-    val df = g.edgesDf(spark)
-    val sparkDeg = df.groupBy("dst").agg(count(lit(1)).as("indeg"))
-    Oracle.assertEquivalent(
-      sparkDeg,
-      "SELECT dst, count(*) AS indeg FROM edges GROUP BY dst",
-      "edges" -> df)
-  }
-
-  test("out-degree distribution agrees with DuckDB SQL") {
-    val df = g.edgesDf(spark)
-    val sparkDeg = df.groupBy("src").agg(count(lit(1)).as("outdeg"))
-    Oracle.assertEquivalent(
-      sparkDeg,
-      "SELECT src, count(*) AS outdeg FROM edges GROUP BY src",
-      "edges" -> df)
-  }
-
-  test("toGraphX preserves edge count and attributes") {
-    val attr = Array.tabulate(g.m)(_.toDouble / 10)
-    val gx = g.toGraphX(spark, attr)
-    assert(gx.edges.count() == g.m)
-    val sum = gx.edges.map(_.attr).sum()
-    assert(math.abs(sum - attr.sum) < 1e-9)
+  test("in-degree per node agrees with a naive count over the pairs") {
+    for (v <- 0 until g.n) assert(g.inDegree(v) == pairs.count(_._2 == v), s"v=$v")
   }
 
   test("empty-degree nodes are representable") {
     val iso = SocialGraph.fromPairs(3, Seq((0, 1)))
-    assert(iso.inDegree(2) == 0 && iso.outDegree(2) == 0)
+    assert(iso.inDegree(2) == 0 && iso.inDegree(0) == 0 && iso.m == 1)
   }
 }

@@ -71,6 +71,22 @@ class RRGeneratorSpec extends SparkSpec {
     }
   }
 
+  test("RR estimator matches the exact oracle on a small TIC-style model") {
+    // Five nodes, one advertiser: 0→1 (.4), 0→2 (.6), 1→3 (.3), 2→3 (.5), 3→4 (.7).
+    val tic = new ExplicitModel(
+      SocialGraph.fromPairs(5, Seq((0, 1), (0, 2), (1, 3), (2, 3), (3, 4))),
+      Array(Array(0.4, 0.6, 0.3, 0.5, 0.7)))
+    val oracle = new ExactOracle(tic, Array(1.0))
+    val c = new RRSource(spark, tic, Array(1.0)).collection(200000, seed = 4)
+    for (seedSet <- Seq(Seq(0), Seq(3), Seq(1, 2))) {
+      val exact = oracle.piOf(0, seedSet)
+      val est = c.piOf(0, seedSet)
+      val se = c.scalePerSet * math.sqrt(c.numSets * 0.25)
+      assert(math.abs(est - exact) < 3 * se + 0.05 * exact + 1e-6,
+        s"seeds=$seedSet est=$est exact=$exact")
+    }
+  }
+
   test("estimator total matches summed per-ad estimates") {
     val c = source.collection(50000, seed = 8)
     val alloc = Vector(Vector(0), Vector(2))
