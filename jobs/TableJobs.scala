@@ -6,7 +6,7 @@ import repro.eval.Tables
 /** Shared session builder for spark-submit entrypoints. */
 object JobSpark {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .getOrCreate()

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{DoubleIntHeap, RMProblem}
+import repro.core.{LazyGreedy, RMProblem}
 import repro.core.Alloc.Alloc
 
 /** Aslay et al.'s oracle-mode baselines (§2.2):
@@ -27,41 +27,28 @@ object OracleGreedy {
     val out = Array.fill(h)(Vector.newBuilder[Int])
     var active = h
 
-    val heap = new DoubleIntHeap(n * h)
-    def key(u: Int, i: Int): Double =
+    def key(i: Int, u: Int): Double =
       if (costSensitive) sess.rate(u, i, prob.costs(i)(u)) else sess.gain(u, i)
-    var i = 0
-    while (i < h) {
-      var u = 0
-      while (u < n) {
-        if (prob.elementFeasible(i, u)) heap.push(key(u, i), i * n + u)
-        u += 1
-      }
-      i += 1
-    }
-
-    while (heap.nonEmpty && active > 0) {
-      val e = heap.topElem
-      heap.removeTop()
-      val ad = e / n; val u = e % n
-      if (!terminated(ad) && !assigned(u)) {
-        val k = key(u, ad)
-        if (heap.nonEmpty && k < heap.topKey - 1e-12) {
-          heap.push(k, e)
+    def dead(e: Int): Boolean = terminated(e / n) || assigned(e % n)
+    // A dead element is dropped before its key is recomputed: its key is +∞,
+    // which is never stale, and `take` skips it.
+    LazyGreedy.run(prob.feasibleHeap(key), LazyGreedy.NeverCancelled,
+                   e => if (dead(e)) Double.PositiveInfinity else key(e / n, e % n)) { (e, _) =>
+      if (!dead(e)) {
+        val ad = e / n; val u = e % n
+        val g = sess.gain(u, ad)
+        val c = prob.costs(ad)(u)
+        if (costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
+          sess.add(u, ad)
+          costS(ad) += c
+          out(ad) += u
+          assigned(u) = true
         } else {
-          val g = sess.gain(u, ad)
-          val c = prob.costs(ad)(u)
-          if (costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-            sess.add(u, ad)
-            costS(ad) += c
-            out(ad) += u
-            assigned(u) = true
-          } else {
-            terminated(ad) = true
-            active -= 1
-          }
+          terminated(ad) = true
+          active -= 1
         }
       }
+      active > 0
     }
     Vector.tabulate(h)(j => out(j).result())
   }

@@ -98,10 +98,7 @@ object TICARM {
       while (u < n) {
         if (!assigned(u)) {
           val g = sess.gain(u, 0)
-          val key = if (costSensitive) {
-            val c = costs(i)(u)
-            if (c + g <= 0) 0.0 else g / (c + g)
-          } else g
+          val key = if (costSensitive) RevenueSession.rate(g, costs(i)(u)) else g
           if (g > 0 || !costSensitive) hp.push(key, u)
         }
         u += 1
@@ -118,11 +115,13 @@ object TICARM {
 
     def keyOf(i: Int, u: Int): Double = {
       val g = sessions(i).gain(u, 0)
-      if (!costSensitive) g
-      else { val c = costs(i)(u); if (c + g <= 0) 0.0 else g / (c + g) }
+      if (costSensitive) RevenueSession.rate(g, costs(i)(u)) else g
     }
 
-    // Freshen ad i's heap top; returns true if a valid fresh top exists.
+    // Freshen ad i's heap top; returns true if a valid fresh top exists. Not
+    // `LazyGreedy`: the stale test compares the fresh key with the element's
+    // own cached key, not the next top, and the fresh top stays in the heap
+    // so the tops of all advertisers can be compared.
     def freshen(i: Int): Boolean = {
       val hp = heaps(i)
       var ok = false

@@ -22,37 +22,28 @@ object Greedy {
     * `CancellationException` at the first heap pop after `cancelled` is set.
     */
   private[core] def scored(prob: RMProblem, candidates: IndexedSeq[Int], i: Int,
-                           cancelled: AtomicBoolean = ThresholdGreedy.NeverCancelled): (IndexedSeq[Int], Double) = {
+                           cancelled: AtomicBoolean = LazyGreedy.NeverCancelled): (IndexedSeq[Int], Double) = {
     val sess = prob.oracle.newSession()
     val b = prob.budgets(i)
+    val costs = prob.costs(i)
+    def rate(u: Int): Double = sess.rate(u, i, costs(u))
     val heap = new DoubleIntHeap(candidates.size)
     // Line 1: drop individually infeasible candidates.
-    for (u <- candidates if prob.elementFeasible(i, u))
-      heap.push(sess.rate(u, i, prob.costs(i)(u)), u)
+    for (u <- candidates if prob.elementFeasible(i, u)) heap.push(rate(u), u)
 
     val s = Vector.newBuilder[Int]
     var costS = 0.0
     var d = -1
-    var done = false
-    while (!done && heap.nonEmpty) {
-      ThresholdGreedy.checkCancelled(cancelled)
-      val u = heap.topElem
-      heap.removeTop()
-      val r = sess.rate(u, i, prob.costs(i)(u))
-      if (heap.nonEmpty && r < heap.topKey - 1e-12) {
-        heap.push(r, u) // stale — refresh and retry
-      } else {
-        // u is the true argmax of ζ_i(·|S_i)
-        val g = sess.gain(u, i)
-        if (costS + prob.costs(i)(u) + sess.pi(i) + g <= b + 1e-9) {
-          sess.add(u, i)
-          costS += prob.costs(i)(u)
-          s += u
-        } else {
-          d = u
-          done = true // D_i nonempty stops the loop
-        }
-      }
+    LazyGreedy.run(heap, cancelled, rate) { (u, _) =>
+      // u is the true argmax of ζ_i(·|S_i)
+      val g = sess.gain(u, i)
+      val fits = costS + costs(u) + sess.pi(i) + g <= b + 1e-9
+      if (fits) {
+        sess.add(u, i)
+        costS += costs(u)
+        s += u
+      } else d = u // D_i nonempty stops the loop
+      fits
     }
     val sSet = s.result()
     val piS = sess.pi(i)

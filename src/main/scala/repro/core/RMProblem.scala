@@ -29,35 +29,34 @@ final class RMProblem(
   /** Total payment `c_i(X) + π_i(X)` of advertiser i for seed set X. */
   def paymentOf(i: Int, xs: Iterable[Int]): Double = costOf(i, xs) + oracle.piOf(i, xs)
 
-  /** Same problem with every budget multiplied by `f` (RMA's (1+ϱ/2) inner
-    * relaxation).
-    */
-  def withScaledBudgets(f: Double): RMProblem =
-    new RMProblem(oracle, budgets.map(_ * f), costs)
-
   /** π_i({u}) for every element, used by feasibility filters and γ_max.
     * Computed once per problem; O(h·n) for the RR oracle.
     */
   lazy val singletonPi: Array[Array[Double]] =
     Array.tabulate(h)(i => Array.tabulate(n)(u => oracle.piSingle(i, u)))
 
-  /** ThresholdGreedy's initial heap M: every individually feasible (u, i),
-    * keyed by π_i({u}), pushed in (i, u) order. It does not depend on γ, so
-    * each call takes a [[DoubleIntHeap.copy]] of it.
+  /** A heap of every individually feasible element (i, u), stored as
+    * `i·n + u`, keyed by `key(i, u)` and pushed in (i, u) order. The push
+    * order fixes the heap layout, and so which of two equal keys pops first.
     */
-  private[core] lazy val thresholdHeap: DoubleIntHeap = {
+  def feasibleHeap(key: (Int, Int) => Double): DoubleIntHeap = {
     val heap = new DoubleIntHeap(n * h)
     var i = 0
     while (i < h) {
       var u = 0
       while (u < n) {
-        if (elementFeasible(i, u)) heap.push(singletonPi(i)(u), i * n + u)
+        if (elementFeasible(i, u)) heap.push(key(i, u), i * n + u)
         u += 1
       }
       i += 1
     }
     heap
   }
+
+  /** ThresholdGreedy's initial heap M, keyed by π_i({u}). It does not depend
+    * on γ, so each call takes a [[DoubleIntHeap.copy]] of it.
+    */
+  private[core] lazy val thresholdHeap: DoubleIntHeap = feasibleHeap(singletonPi(_)(_))
 
   /** Is element (u,i) individually budget-feasible: `c_i(u)+π_i({u}) ≤ B_i`? */
   def elementFeasible(i: Int, u: Int): Boolean =
@@ -96,13 +95,6 @@ object Alloc {
     var s = 0.0
     var i = 0
     while (i < oracle.h) { s += oracle.piOf(i, a(i)); i += 1 }
-    s
-  }
-
-  def totalCost(prob: RMProblem, a: Alloc): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < prob.h) { s += prob.costOf(i, a(i)); i += 1 }
     s
   }
 

@@ -32,10 +32,10 @@ trait RevenueOracle {
 
 /** Incremental marginal-gain engine over a growing allocation `S⃗`.
   *
-  * Guarantee required by the lazy-heap greedy implementations: `gain(u, i)`
-  * is non-increasing over the lifetime of the session (submodularity of
-  * `π_i`, which holds exactly for coverage estimators and for the exact
-  * TIC spread).
+  * Guarantee required by [[LazyGreedy]] (and `TICARM`'s own lazy heaps):
+  * `gain(u, i)` is non-increasing over the lifetime of the session
+  * (submodularity of `π_i`, which holds exactly for coverage estimators and
+  * for the exact TIC spread).
   */
 trait RevenueSession {
   /** `π_i(u | S_i)` under the current allocation. */
@@ -47,9 +47,14 @@ trait RevenueSession {
   /** `π_i(S_i)` under the current allocation. */
   def pi(i: Int): Double
 
-  /** Marginal rate `ζ_i(u | S_i) = g/(c + g)` for seed cost `c = cost(i)(u)`. */
-  final def rate(u: Int, i: Int, cost: Double): Double = {
-    val g = gain(u, i)
-    if (cost + g <= 0) 0.0 else g / (cost + g)
-  }
+  /** Marginal rate `ζ_i(u | S_i)` for seed cost `cost = c_i(u)`. */
+  final def rate(u: Int, i: Int, cost: Double): Double = RevenueSession.rate(gain(u, i), cost)
+}
+
+object RevenueSession {
+  /** Marginal rate `g/(c + g)` of gain `g` at seed cost `c`, or 0 when
+    * `c + g ≤ 0`.
+    */
+  def rate(gain: Double, cost: Double): Double =
+    if (cost + gain <= 0) 0.0 else gain / (cost + gain)
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.concurrent.CancellationException
 import java.util.concurrent.atomic.AtomicBoolean
 import Alloc.Alloc
 
@@ -26,13 +25,13 @@ object ThresholdGreedy {
     */
   final case class TGResult(alloc: Alloc, b: Int, pi: Double)
 
-  def run(prob: RMProblem, gamma: Double): TGResult = run(prob, gamma, NeverCancelled)
+  def run(prob: RMProblem, gamma: Double): TGResult = run(prob, gamma, LazyGreedy.NeverCancelled)
 
   /** [[run]] that stops with a `CancellationException` at its start or at
     * the first heap pop after `cancelled` is set.
     */
   private[core] def run(prob: RMProblem, gamma: Double, cancelled: AtomicBoolean): TGResult = {
-    checkCancelled(cancelled)
+    LazyGreedy.checkCancelled(cancelled)
     val n = prob.n; val h = prob.h
     val sess = prob.oracle.newSession()
 
@@ -43,34 +42,24 @@ object ThresholdGreedy {
     var depleted = 0
 
     // M: all individually feasible elements, keyed by marginal gain.
-    val heap = prob.thresholdHeap.copy()
-
-    while (heap.nonEmpty && depleted != h) {
-      checkCancelled(cancelled)
-      val e = heap.topElem
-      heap.removeTop()
+    LazyGreedy.run(prob.thresholdHeap.copy(), cancelled, e => sess.gain(e % n, e / n)) { (e, g) =>
+      // (u, ad) is the max-marginal-gain element of M; it is now removed.
       val ad = e / n; val u = e % n
-      val g = sess.gain(u, ad)
-      if (heap.nonEmpty && g < heap.topKey - 1e-12) {
-        heap.push(g, e) // stale — refresh
-      } else {
-        // (u, ad) is the max-marginal-gain element of M; it is now removed.
-        val c = prob.costs(ad)(u)
-        val rate = if (c + g <= 0) 0.0 else g / (c + g)
-        val thresholdOk = rate >= gamma / prob.budgets(ad) - 1e-12
-        if (thresholdOk && dOf(ad) < 0 && !assigned(u)) {
-          if (costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-            sess.add(u, ad)
-            costS(ad) += c
-            sLists(ad) += u
-            assigned(u) = true
-          } else {
-            dOf(ad) = u
-            assigned(u) = true
-            depleted += 1
-          }
+      val c = prob.costs(ad)(u)
+      val thresholdOk = RevenueSession.rate(g, c) >= gamma / prob.budgets(ad) - 1e-12
+      if (thresholdOk && dOf(ad) < 0 && !assigned(u)) {
+        if (costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
+          sess.add(u, ad)
+          costS(ad) += c
+          sLists(ad) += u
+          assigned(u) = true
+        } else {
+          dOf(ad) = u
+          assigned(u) = true
+          depleted += 1
         }
       }
+      depleted != h
     }
 
     val s: Array[IndexedSeq[Int]] = sLists.map(_.result())
@@ -109,7 +98,7 @@ object ThresholdGreedy {
     * are depleted or no feasible element remains.
     */
   def fill(prob: RMProblem, start: Alloc): Alloc =
-    fillFrom(prob, start, sessionOf(prob, start), NeverCancelled)._1
+    fillFrom(prob, start, sessionOf(prob, start), LazyGreedy.NeverCancelled)._1
 
   /** A fresh session holding `alloc`. */
   private def sessionOf(prob: RMProblem, alloc: Alloc): RevenueSession = {
@@ -136,46 +125,22 @@ object ThresholdGreedy {
       }
       i += 1
     }
-    val heap = new DoubleIntHeap(n * h)
-    i = 0
-    while (i < h) {
-      var u = 0
-      while (u < n) {
-        if (prob.elementFeasible(i, u))
-          heap.push(sess.rate(u, i, prob.costs(i)(u)), i * n + u)
-        u += 1
-      }
-      i += 1
-    }
-    while (heap.nonEmpty) {
-      checkCancelled(cancelled)
-      val e = heap.topElem
-      heap.removeTop()
+    def rate(ad: Int, u: Int): Double = sess.rate(u, ad, prob.costs(ad)(u))
+    LazyGreedy.run(prob.feasibleHeap(rate), cancelled, e => rate(e / n, e % n)) { (e, _) =>
       val ad = e / n; val u = e % n
-      val r = sess.rate(u, ad, prob.costs(ad)(u))
-      if (heap.nonEmpty && r < heap.topKey - 1e-12) {
-        heap.push(r, e)
-      } else {
-        val g = sess.gain(u, ad)
-        val c = prob.costs(ad)(u)
-        if (!assigned(u) && costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-          sess.add(u, ad)
-          costS(ad) += c
-          out(ad) += u
-          assigned(u) = true
-        }
-        // element removed from M either way
+      val g = sess.gain(u, ad)
+      val c = prob.costs(ad)(u)
+      if (!assigned(u) && costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
+        sess.add(u, ad)
+        costS(ad) += c
+        out(ad) += u
+        assigned(u) = true
       }
+      true // element removed from M either way
     }
     var pi = 0.0
     i = 0
     while (i < h) { pi += sess.pi(i); i += 1 }
     (Vector.tabulate(h)(j => out(j).result()), pi)
   }
-
-  /** The flag of calls nobody cancels. */
-  private[core] val NeverCancelled = new AtomicBoolean(false)
-
-  private[core] def checkCancelled(cancelled: AtomicBoolean): Unit =
-    if (cancelled.get()) throw new CancellationException("ThresholdGreedy call cancelled")
 }

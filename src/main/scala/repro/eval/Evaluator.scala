@@ -1,5 +1,6 @@
 package repro.eval
 
+import repro.core.Alloc
 import repro.core.Alloc.Alloc
 import repro.rrset.RRCollection
 
@@ -13,12 +14,7 @@ final class Evaluator(coll: RRCollection, costs: Array[Array[Double]],
   def h: Int = coll.h
 
   /** Measured total revenue π(S⃗). */
-  def revenue(a: Alloc): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < h) { s += coll.piOf(i, a(i)); i += 1 }
-    s
-  }
+  def revenue(a: Alloc): Double = Alloc.piTotal(coll, a)
 
   /** Per-advertiser revenue. */
   def revenuePerAd(a: Alloc): Array[Double] =
@@ -31,9 +27,6 @@ final class Evaluator(coll: RRCollection, costs: Array[Array[Double]],
     while (i < h) { for (u <- a(i)) s += costs(i)(u); i += 1 }
     s
   }
-
-  /** Total number of seeds (Fig 3's metric). */
-  def seedCount(a: Alloc): Int = a.map(_.size).sum
 
   /** Budget-usage rate (π + cost)/ΣB (Fig 6 left). */
   def budgetUsage(a: Alloc): Double =

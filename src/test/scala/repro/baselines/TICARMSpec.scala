@@ -67,6 +67,23 @@ class TICARMSpec extends SparkSpec {
     assert(a.alloc == b.alloc)
   }
 
+  test("TI-CARM and TI-CSRM allocations are pinned for cfg") {
+    // Computed before the marginal-rate formula was shared: on the budgets of
+    // the determinism test, where TI-CARM's first pick already overshoots,
+    // and on looser ones. Under linear costs TI-CSRM's rates nearly tie, so
+    // its picks follow the formula's rounding.
+    val costs = CostModel.table(CostModel.Linear, 0.2, sigmaTable)
+    def both(b: Double) = {
+      val budgets = Array(b, b)
+      (TICARM.tiCarm(spark, model, cpe, budgets, costs, cfg).alloc,
+       TICARM.tiCsrm(spark, model, cpe, budgets, costs, cfg).alloc)
+    }
+    assert(both(6.0) == ((Vector(Vector(), Vector()), Vector(Vector(7, 26), Vector(28)))))
+    assert(both(30.0) == ((
+      Vector(Vector(6, 2, 3, 22, 12, 13, 25, 11), Vector(17, 14, 4, 29, 16)),
+      Vector(Vector(7, 1, 10, 23, 16, 21, 11, 27, 2, 6), Vector(28, 24, 29, 12, 26, 19, 17, 0)))))
+  }
+
   test("diagnostics: sets generated and regenerations are positive") {
     val costs = CostModel.table(CostModel.Linear, 0.2, sigmaTable)
     val r = TICARM.tiCsrm(spark, model, cpe, Array(6.0, 6.0), costs, cfg)

@@ -17,12 +17,6 @@ class RMProblemSpec extends AnyFunSuite {
       (prob.costOf(1, xs) + prob.oracle.piOf(1, xs))) < 1e-12)
   }
 
-  test("withScaledBudgets scales every budget") {
-    val p2 = prob.withScaledBudgets(1.5)
-    assert(p2.budgets.zip(prob.budgets).forall { case (a, b) => math.abs(a - 1.5 * b) < 1e-12 })
-    assert(p2.costs eq prob.costs)
-  }
-
   test("singletonPi matches oracle piOf") {
     for (i <- 0 until prob.h; u <- 0 until prob.n)
       assert(math.abs(prob.singletonPi(i)(u) - prob.oracle.piOf(i, Seq(u))) < 1e-12)
@@ -65,12 +59,6 @@ class RMProblemSpec extends AnyFunSuite {
     val a: Alloc.Alloc = Vector(Vector(0, 1), Vector(2))
     val exp = prob.oracle.piOf(0, Seq(0, 1)) + prob.oracle.piOf(1, Seq(2))
     assert(math.abs(Alloc.piTotal(prob.oracle, a) - exp) < 1e-12)
-  }
-
-  test("Alloc.totalCost sums costs across ads") {
-    val a: Alloc.Alloc = Vector(Vector(0), Vector(1, 2))
-    val exp = prob.costs(0)(0) + prob.costs(1)(1) + prob.costs(1)(2)
-    assert(math.abs(Alloc.totalCost(prob, a) - exp) < 1e-12)
   }
 }
 

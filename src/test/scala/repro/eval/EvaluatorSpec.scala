@@ -44,11 +44,6 @@ class EvaluatorSpec extends SparkSpec {
     assert(ev.seedCost(a) == 1.0 + 2.0 + 2.5)
   }
 
-  test("seedCount counts all seeds") {
-    val ev = new Evaluator(mkColl(), costs, budgets)
-    assert(ev.seedCount(Vector(Vector(0, 1), Vector(2, 3, 4))) == 5)
-  }
-
   test("budgetUsage and rateOfReturn formulas") {
     val c = mkColl()
     val ev = new Evaluator(c, costs, budgets)
