@@ -20,7 +20,8 @@ object RMA {
     * @param delta  failure probability (paper default 1/n)
     * @param tau    Search's binary-search precision
     * @param rho    ϱ ∈ (0,1) — budget overshoot control
-    * @param subsim use SUBSIM-style geometric-jump RR generation
+    * @param subsim use SUBSIM's subset sampling (a binomial count of live
+    *               in-edges plus a uniform subset) for RR generation
     * @param maxSetsCap hard memory guard on each collection's size
     */
   final case class Config(

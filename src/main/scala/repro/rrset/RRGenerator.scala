@@ -9,8 +9,9 @@ import repro.graph.InfluenceModel
 /** Serializable sampling state shipped to executors once per model:
   * reverse-CSR adjacency plus per-advertiser probabilities in reverse-CSR
   * position order, the cpe weights for uniform advertiser sampling, and the
-  * per-(advertiser, node) max in-edge probability `pmax` and its skip
-  * constant `log(1 − pmax)` used by the SUBSIM-style geometric-jump sampler.
+  * per-(advertiser, node) max in-edge probability `pmax` used by the SUBSIM
+  * subset step. That step's binomial CDF tables are built on first use, on
+  * the executor, and never shipped.
   */
 final class RRSamplerState(
     val n: Int,
@@ -19,10 +20,18 @@ final class RRSamplerState(
     val probRev: Array[Array[Double]],
     val cpeCum: Array[Double], // cumulative cpe, last = Γ
     val maxP: Array[Array[Double]], // per ad: max in-edge prob per node
-    val logQ: Array[Array[Double]], // per ad: math.log1p(-maxP) per node
 ) extends Serializable {
 
   val h: Int = probRev.length
+
+  /** Per ad: node v's Binomial(indeg(v), pmax(v)) CDF at `revHead(v) + v`,
+    * one table per distinct `maxP` array (so Weighted Cascade advertisers
+    * share one). Built at the first SUBSIM set.
+    */
+  @transient private[rrset] lazy val binomCdf: Array[Array[Double]] = {
+    val built = new java.util.IdentityHashMap[Array[Double], Array[Double]]
+    maxP.map(mp => built.computeIfAbsent(mp, RRSamplerState.binomialCdfs(revHead, _)))
+  }
 
   /** Sample an advertiser with probability proportional to cpe. */
   def sampleAd(rng: SplittableRandom): Int = {
@@ -41,17 +50,23 @@ final class RRSamplerState(
     * then the last member. Until then the draws are those of the full BFS.
     *
     * `subsim = false`: per-in-edge Bernoulli flips.
-    * `subsim = true`: geometric-jump ("skip") sampling against the node's max
-    * in-edge probability with thinning `p_e/maxP` — the SUBSIM idea of not
-    * touching every in-edge when probabilities are small (Guo et al., used by
-    * the paper's Appendix D.2).
+    * `subsim = true`: SUBSIM's subset sampling (Guo et al., used by the
+    * paper's Appendix D.2) at each node v with 0 < pmax < 0.99: draw the
+    * number K ~ Binomial(indeg(v), pmax) of in-edges that are live at rate
+    * pmax from v's CDF, pick K distinct in-edges uniformly (Floyd's
+    * algorithm, in `picks`, a fresh one if null), and keep each with
+    * probability p_e/pmax, without a draw when p_e == pmax (every Weighted
+    * Cascade edge). Each in-edge is then live independently with
+    * probability p_e, and a node costs O(1 + K) draws, not O(indeg).
     */
   def generate(ad: Int, root: Int, rng: SplittableRandom,
                queue: Array[Int], stamp: Array[Int], cur: Int,
-               subsim: Boolean, stop: Array[Long] = null): Int = {
+               subsim: Boolean, stop: Array[Long] = null,
+               picks: RRSamplerState.Picks = null): Int = {
     val probs = probRev(ad)
     val mp = maxP(ad)
-    val lq = logQ(ad)
+    val cdf = if (subsim) binomCdf(ad) else null
+    val floyd = if (subsim && picks == null) newPicks() else picks
     val base = ad.toLong * n
     var head = 0
     var tail = 0
@@ -62,7 +77,7 @@ final class RRSamplerState(
       val v = queue(head); head += 1
       val begin = revHead(v)
       val end = revHead(v + 1)
-      if (!subsim || mp(v) >= 0.99) {
+      if (!subsim || mp(v) >= RRSamplerState.FlipAt) {
         var p = begin
         while (p < end) {
           val pe = probs(p)
@@ -77,24 +92,36 @@ final class RRSamplerState(
         }
       } else if (mp(v) > 0) {
         val pmax = mp(v)
-        val logq = lq(v)
-        var p = RRSamplerState.jump(begin, end, rng, logq)
-        while (p < end) {
-          val pe = probs(p)
-          // thinning: candidate succeeds with pe/pmax
-          if (pe > 0 && rng.nextDouble() * pmax < pe) {
-            val u = revSrc(p)
-            if (stamp(u) != cur) {
-              stamp(u) = cur; queue(tail) = u; tail += 1
-              if (stop != null && RRSamplerState.hit(stop, base + u)) return tail
+        val d = end - begin
+        // K = min{k : x < CDF(k)}; the entry at k = d is +∞.
+        val c0 = begin + v
+        val x = rng.nextDouble()
+        var k = 0
+        while (x >= cdf(c0 + k)) k += 1
+        if (k > 0) {
+          floyd.start()
+          var j = d - k
+          while (j < d) {
+            val p = begin + floyd.pick(j, rng)
+            val pe = probs(p)
+            if (pe == pmax || rng.nextDouble() * pmax < pe) {
+              val u = revSrc(p)
+              if (stamp(u) != cur) {
+                stamp(u) = cur; queue(tail) = u; tail += 1
+                if (stop != null && RRSamplerState.hit(stop, base + u)) return tail
+              }
             }
+            j += 1
           }
-          p = RRSamplerState.jump(p + 1, end, rng, logq)
         }
       }
     }
     tail
   }
+
+  /** Scratch for Floyd's algorithm, sized to the largest in-degree. */
+  def newPicks(): RRSamplerState.Picks =
+    new RRSamplerState.Picks((0 until n).iterator.map(v => revHead(v + 1) - revHead(v)).max)
 
   /** Sets `first until first + count` of the batch seeded `seed`, each
     * handed to `sink` as soon as it is made. Set k draws its advertiser, then
@@ -105,13 +132,14 @@ final class RRSamplerState(
   def sample(first: Int, count: Int, seed: Long, subsim: Boolean, sink: RRSink[_]): Unit = {
     val queue = new Array[Int](n)
     val stamp = new Array[Int](n)
+    val picks = if (subsim) newPicks() else null
     val stop = sink.stopAt
     var k = 0
     while (k < count) {
       val rng = RRSamplerState.stream(seed, first + k)
       val ad = sampleAd(rng)
       val root = rng.nextInt(n)
-      val sz = generate(ad, root, rng, queue, stamp, k + 1, subsim, stop)
+      val sz = generate(ad, root, rng, queue, stamp, k + 1, subsim, stop, picks)
       sink.add(ad, queue, sz)
       k += 1
     }
@@ -134,21 +162,76 @@ object RRSamplerState {
     z ^ (z >>> 31)
   }
 
+  /** SUBSIM flips each in-edge of a node whose pmax is at least this: nearly
+    * every in-edge is then a candidate, so the subset step saves nothing.
+    */
+  final val FlipAt = 0.99
+
   /** Whether bit `key` of the bitset `bits` is set. */
   def hit(bits: Array[Long], key: Long): Boolean = (bits((key >>> 6).toInt) & (1L << key)) != 0
 
-  /** `from` plus a Geometric(1 - e^logq) number of failures, clamped to
-    * `end`: the skip is taken in `Long`, so a tiny pmax (a skip past
-    * `Int.MaxValue`) ends the scan instead of wrapping negative.
+  /** Floyd's algorithm for K distinct positions of `0 until d`: after
+    * `start()`, `pick(j, rng)` for j = d − K … d − 1 returns the next one.
+    * `mark(q) == visit` says position q is taken at this visit; the marks
+    * are cleared before the visit counter could wrap.
     */
-  private def jump(from: Int, end: Int, rng: SplittableRandom, logq: Double): Int = {
-    val skip = math.floor(math.log(rng.nextDouble()) / logq).toLong
-    if (skip >= end - from) end else from + skip.toInt
+  final class Picks(maxDeg: Int) {
+    private val mark = new Array[Int](maxDeg)
+    private var visit = 0
+
+    def start(): Unit = {
+      if (visit == Int.MaxValue) { java.util.Arrays.fill(mark, 0); visit = 0 }
+      visit += 1
+    }
+
+    def pick(j: Int, rng: SplittableRandom): Int = {
+      val t = rng.nextInt(j + 1)
+      val q = if (mark(t) == visit) j else t
+      mark(q) = visit
+      q
+    }
+  }
+
+  /** Node v's Binomial(d, pmax(v)) CDF, d = indeg(v), at `revHead(v) + v`
+    * (d + 1 entries), for 0 < pmax(v) < `FlipAt`. Entry 0 is
+    * exp(d·log1p(−pmax)); the pmf recurrence runs in logs, so a large d
+    * cannot underflow it. Once the remaining tail is below 1e-17 (under the
+    * 2⁻⁵³ grain of `nextDouble`), and always at k = d, entries are +∞, which
+    * ends the scan.
+    */
+  private[rrset] def binomialCdfs(revHead: Array[Int], maxP: Array[Double]): Array[Double] = {
+    val n = maxP.length
+    val cdf = new Array[Double](revHead(n) + n)
+    var v = 0
+    while (v < n) {
+      val d = revHead(v + 1) - revHead(v)
+      val c0 = revHead(v) + v
+      val p = maxP(v)
+      var k = 0
+      if (p > 0 && p < FlipAt) {
+        val logOdds = math.log(p) - math.log1p(-p)
+        var logPk = d * math.log1p(-p)
+        var acc = 0.0
+        var tail = false
+        while (k < d && !tail) {
+          val pk = math.exp(logPk)
+          acc += pk
+          cdf(c0 + k) = acc
+          // Past the mode the pmf falls, so d·P(K = k) bounds the tail.
+          tail = k >= d * p && d * pk < 1e-17
+          logPk += math.log((d - k).toDouble / (k + 1)) + logOdds
+          k += 1
+        }
+      }
+      while (k <= d) { cdf(c0 + k) = Double.PositiveInfinity; k += 1 }
+      v += 1
+    }
+    cdf
   }
 
   /** Advertisers whose `model.prob(i)` is the same array share one
-    * reverse-CSR probability array and one `maxP` and `logQ` table (Weighted
-    * Cascade gives every advertiser the same array).
+    * reverse-CSR probability array and one `maxP` table (Weighted Cascade
+    * gives every advertiser the same array).
     */
   def apply(model: InfluenceModel, cpe: Array[Double]): RRSamplerState = {
     val g = model.graph
@@ -157,37 +240,32 @@ object RRSamplerState {
     val owner = Array.tabulate(h)(i => byEdge.indexWhere(_ eq byEdge(i)))
     val probRev = new Array[Array[Double]](h)
     val maxP = new Array[Array[Double]](h)
-    val logQ = new Array[Array[Double]](h)
     for (i <- 0 until h) {
       if (owner(i) < i) {
         probRev(i) = probRev(owner(i))
         maxP(i) = maxP(owner(i))
-        logQ(i) = logQ(owner(i))
       } else {
         val rev = new Array[Double](g.m)
         var p = 0
         while (p < g.m) { rev(p) = byEdge(i)(g.revEdge(p)); p += 1 }
         val mp = new Array[Double](g.n)
-        val lq = new Array[Double](g.n)
         var v = 0
         while (v < g.n) {
           p = g.revHead(v)
           var mx = 0.0
           while (p < g.revHead(v + 1)) { if (rev(p) > mx) mx = rev(p); p += 1 }
           mp(v) = mx
-          lq(v) = math.log1p(-mx)
           v += 1
         }
         probRev(i) = rev
         maxP(i) = mp
-        logQ(i) = lq
       }
     }
     val cum = new Array[Double](h)
     var acc = 0.0
     var i = 0
     while (i < h) { acc += cpe(i); cum(i) = acc; i += 1 }
-    new RRSamplerState(g.n, g.revHead, g.revSrc, probRev, cum, maxP, logQ)
+    new RRSamplerState(g.n, g.revHead, g.revSrc, probRev, cum, maxP)
   }
 }
 

@@ -60,11 +60,17 @@ class TICARMSpec extends SparkSpec {
   }
 
   test("runs are deterministic in the seed") {
+    // At budgets (30, 30) TI-CARM picks 8 + 5 seeds (the pin below); at
+    // tighter ones its first pick overshoots and both runs would be empty.
     val costs = CostModel.table(CostModel.Linear, 0.2, sigmaTable)
-    val budgets = Array(6.0, 6.0)
-    val a = TICARM.tiCarm(spark, model, cpe, budgets, costs, cfg)
-    val b = TICARM.tiCarm(spark, model, cpe, budgets, costs, cfg)
-    assert(a.alloc == b.alloc)
+    val budgets = Array(30.0, 30.0)
+    for (subsim <- Seq(false, true)) {
+      val c = cfg.copy(subsim = subsim)
+      val a = TICARM.tiCarm(spark, model, cpe, budgets, costs, c)
+      val b = TICARM.tiCarm(spark, model, cpe, budgets, costs, c)
+      assert(a.alloc.forall(_.nonEmpty), s"subsim=$subsim: ${a.alloc}")
+      assert(a.alloc == b.alloc, s"subsim=$subsim")
+    }
   }
 
   test("TI-CARM and TI-CSRM allocations are pinned for cfg") {

@@ -3,7 +3,8 @@ package repro.rrset
 import java.util.SplittableRandom
 import repro.SparkSpec
 import repro.core.ExactOracle
-import repro.graph.{ExplicitModel, SocialGraph, WeightedCascade}
+import repro.eval.Experiments
+import repro.graph.{ExplicitModel, GraphGen, InfluenceModel, InfluenceModels, SocialGraph, WeightedCascade}
 
 class RRGeneratorSpec extends SparkSpec {
 
@@ -169,9 +170,10 @@ class RRGeneratorSpec extends SparkSpec {
     }
   }
 
-  test("SUBSIM with a 1e-12 in-edge ends the scan instead of overflowing the skip") {
-    // Node 2's in-edge sits at reverse-CSR position 1, so a skip saturated at
-    // Int.MaxValue would wrap the scan position negative.
+  test("SUBSIM with a 1e-12 in-edge draws at most indeg in-edges, at their positions") {
+    // Node 2's in-edge sits at reverse-CSR position 1, so its binomial CDF
+    // starts at offset 1 + 2: a CDF read at the wrong offset, or a scan
+    // that ran past its +inf entry (K > indeg), would show here.
     val gt = SocialGraph.fromPairs(3, Seq((0, 1), (1, 2)))
     val mt = new ExplicitModel(gt, Array(Array(0.5, 1e-12)))
     val c = new RRSource(spark, mt, Array(1.0)).collection(3000, seed = 4, subsim = true)
@@ -205,53 +207,32 @@ class RRGeneratorSpec extends SparkSpec {
     }
   }
 
-  /** Reference sampler that computes the skip constant `math.log1p(-pmax)`
-    * at every visited node instead of reading `logQ`.
+  /** Reference naive sampler: one Bernoulli flip per in-edge, in
+    * reverse-CSR order.
     */
-  private def inlineLog1pGenerate(st: RRSamplerState, ad: Int, root: Int, rng: SplittableRandom,
-                                  queue: Array[Int], stamp: Array[Int], cur: Int, subsim: Boolean): Int = {
-    def jump(from: Int, end: Int, logq: Double): Int = {
-      val skip = math.floor(math.log(rng.nextDouble()) / logq).toLong
-      if (skip >= end - from) end else from + skip.toInt
-    }
+  private def inlineNaiveGenerate(st: RRSamplerState, ad: Int, root: Int, rng: SplittableRandom,
+                                  queue: Array[Int], stamp: Array[Int], cur: Int): Int = {
     val probs = st.probRev(ad)
-    val mp = st.maxP(ad)
     var head = 0
     var tail = 0
     queue(tail) = root; tail += 1
     stamp(root) = cur
     while (head < tail) {
       val v = queue(head); head += 1
-      val begin = st.revHead(v)
-      val end = st.revHead(v + 1)
-      if (!subsim || mp(v) >= 0.99) {
-        var p = begin
-        while (p < end) {
-          val pe = probs(p)
-          if (pe > 0 && rng.nextDouble() < pe) {
-            val u = st.revSrc(p)
-            if (stamp(u) != cur) { stamp(u) = cur; queue(tail) = u; tail += 1 }
-          }
-          p += 1
+      var p = st.revHead(v)
+      while (p < st.revHead(v + 1)) {
+        val pe = probs(p)
+        if (pe > 0 && rng.nextDouble() < pe) {
+          val u = st.revSrc(p)
+          if (stamp(u) != cur) { stamp(u) = cur; queue(tail) = u; tail += 1 }
         }
-      } else if (mp(v) > 0) {
-        val pmax = mp(v)
-        val logq = math.log1p(-pmax)
-        var p = jump(begin, end, logq)
-        while (p < end) {
-          val pe = probs(p)
-          if (pe > 0 && rng.nextDouble() * pmax < pe) {
-            val u = st.revSrc(p)
-            if (stamp(u) != cur) { stamp(u) = cur; queue(tail) = u; tail += 1 }
-          }
-          p = jump(p + 1, end, logq)
-        }
+        p += 1
       }
     }
     tail
   }
 
-  test("logQ is log1p(-maxP) bit for bit, shared under WC; sets equal the inline-log1p sampler") {
+  test("naive sets equal the inline per-edge reference sampler") {
     val rng = new SplittableRandom(31)
     val gm = SocialGraph.fromPairs(200,
       Seq.fill(1600)((rng.nextInt(200), rng.nextInt(200))).filter { case (a, b) => a != b }.distinct)
@@ -262,12 +243,7 @@ class RRGeneratorSpec extends SparkSpec {
     }
     val tic = RRSamplerState(new ExplicitModel(gm, Array.fill(3)(mixed())), Array(1.0, 2.0, 0.5))
     val wc = RRSamplerState(new WeightedCascade(gm, 3), Array(1.0, 2.0, 0.5))
-    assert((1 until 3).forall(i => wc.logQ(i) eq wc.logQ(0)))
-    assert(tic.logQ(1) ne tic.logQ(0))
-    for (st <- Seq(tic, wc); i <- 0 until st.h; v <- 0 until gm.n)
-      assert(java.lang.Double.doubleToRawLongBits(st.logQ(i)(v)) ==
-        java.lang.Double.doubleToRawLongBits(math.log1p(-st.maxP(i)(v))), s"ad=$i node=$v")
-    for (st <- Seq(tic, wc); subsim <- Seq(false, true)) {
+    for (st <- Seq(tic, wc)) {
       val rngA = new SplittableRandom(5)
       val rngB = new SplittableRandom(5)
       val (qa, sa, qb, sb) = (new Array[Int](gm.n), new Array[Int](gm.n), new Array[Int](gm.n), new Array[Int](gm.n))
@@ -276,10 +252,59 @@ class RRGeneratorSpec extends SparkSpec {
         assert(st.sampleAd(rngB) == ad)
         val root = rngA.nextInt(gm.n)
         assert(rngB.nextInt(gm.n) == root)
-        val za = st.generate(ad, root, rngA, qa, sa, t, subsim)
-        val zb = inlineLog1pGenerate(st, ad, root, rngB, qb, sb, t, subsim)
-        assert(za == zb && java.util.Arrays.equals(qa, 0, za, qb, 0, zb), s"set $t, subsim=$subsim")
+        val za = st.generate(ad, root, rngA, qa, sa, t, subsim = false)
+        val zb = inlineNaiveGenerate(st, ad, root, rngB, qb, sb, t)
+        assert(za == zb && java.util.Arrays.equals(qa, 0, za, qb, 0, zb), s"set $t")
       }
     }
+  }
+
+  test("binomial CDF tables: shared under WC, Binomial(indeg, pmax) per node, +inf at K = indeg") {
+    val rng = new SplittableRandom(41)
+    val gm = SocialGraph.fromPairs(300,
+      Seq.fill(3000)((rng.nextInt(300), rng.nextInt(300))).filter { case (a, b) => a != b }.distinct)
+    val wc = RRSamplerState(new WeightedCascade(gm, 3), Array(1.0, 2.0, 0.5))
+    val tic = RRSamplerState(new ExplicitModel(gm, Array.fill(2)(Array.fill(gm.m)(0.5 * rng.nextDouble()))),
+      Array(1.0, 1.0))
+    assert((1 until 3).forall(i => wc.binomCdf(i) eq wc.binomCdf(0)))
+    assert(tic.binomCdf(1) ne tic.binomCdf(0))
+    for (st <- Seq(wc, tic); i <- 0 until st.h; v <- 0 until gm.n) {
+      val d = st.revHead(v + 1) - st.revHead(v)
+      val p = st.maxP(i)(v)
+      val cdf = st.binomCdf(i).slice(st.revHead(v) + v, st.revHead(v + 1) + v + 1)
+      assert(cdf.last == Double.PositiveInfinity)
+      if (p > 0 && p < 0.99) {
+        assert(cdf(0) == math.exp(d * math.log1p(-p)))
+        // The exact CDF (pmf by the product formula, summed): finite entries
+        // agree with it, and +inf starts only once the rest is negligible.
+        var exact = 0.0
+        for (k <- 0 until d) {
+          if (cdf(k).isInfinite) assert(1 - exact < 1e-12, s"ad=$i v=$v k=$k")
+          val binom = (0 until k).map(j => (d - j).toDouble / (j + 1)).product
+          exact += binom * math.pow(p, k) * math.pow(1 - p, d - k)
+          if (!cdf(k).isInfinite) assert(math.abs(cdf(k) - exact) < 1e-12, s"ad=$i v=$v k=$k")
+        }
+      }
+    }
+  }
+
+  test("naive sets are pinned: flixster-lite TIC and dblp-lite WC") {
+    // Checksums of every tag, size and member of two naive collections,
+    // computed with the geometric-jump SUBSIM sampler still in place: the
+    // naive path must stay bit-identical whatever the SUBSIM path does.
+    def checksum(model: InfluenceModel, seed: Long): Long = {
+      val c = new RRSource(spark, model, Experiments.cpes).collection(40000, seed)
+      var x = c.numSets.toLong
+      for (s <- 0 until c.numSets) {
+        val ms = c.setMembers(s)
+        x = (x * 1000003L + c.tagOf(s)) * 1000003L + ms.length
+        for (u <- ms) x = x * 31L + u
+      }
+      x
+    }
+    val fx = GraphGen.graph(spark, GraphGen.Flixster)
+    val db = GraphGen.graph(spark, GraphGen.Dblp)
+    assert(checksum(InfluenceModels.flixsterTic(fx, Experiments.H), 5L) == 3233637343908522831L)
+    assert(checksum(new WeightedCascade(db, Experiments.H), 6L) == 7656795516708417009L)
   }
 }
