@@ -8,37 +8,32 @@ import repro.graph.GraphGen
 /** Scalability substrate check (the paper's §5.2.3 setting: Weighted-Cascade,
   * linear incentive α=0.2, uniform budgets, DBLP and LiveJournal). Figures 5–6
   * are plots and out of scope; this bench demonstrates the same configuration
-  * runs end-to-end at our scaled-down sizes and reports RMA's time/revenue as
-  * h grows, mirroring Fig 5's x-axis.
+  * runs end-to-end at our scaled-down sizes and reports RMA's time, revenue,
+  * seeds and sets at h = [[Experiments.H]].
   *
   * Budgets are the paper's (10K for DBLP, 100K for LiveJournal) divided by the
   * graph scale-down factors (≈31x and ≈120x).
   */
 class ScalabilityBench extends SparkSpec {
 
-  private def run(spec: GraphGen.DatasetSpec, budget: Double, hs: Seq[Int]): Unit = {
-    for (h <- hs) {
-      val env = Experiments.env(spark, spec,
-        budgetOverride = Some(Array.fill(Experiments.H)(budget)))
-      val costs = env.costs(CostModel.Linear, 0.2)
-      val t0 = System.nanoTime()
-      val r = RMA.run(spark, env.model, env.cpe.take(Experiments.H),
-        env.budgets.map(_ / 1.1), costs,
-        RMA.Config(eps = 0.02, delta = 1.0 / env.n, tau = 0.1, rho = 0.1, seed = 17L))
-      val secs = (System.nanoTime() - t0) / 1e9
-      val ev = new repro.eval.Evaluator(env.evalColl, costs, env.budgets)
-      println(f"[scalability] ${spec.name}%-17s h=$h%2d B=$budget%.0f: " +
-        f"time=$secs%.1f s revenue=${ev.revenue(r.alloc)}%.0f " +
-        f"seeds=${Alloc.seedCount(r.alloc)} sets=${r.numSets}")
-      assert(ev.revenue(r.alloc) > 0)
-    }
+  private def run(spec: GraphGen.DatasetSpec, budget: Double): Unit = {
+    val env = Experiments.env(spark, spec,
+      budgetOverride = Some(Array.fill(Experiments.H)(budget)))
+    val costs = env.costs(CostModel.Linear, 0.2)
+    val r = RMA.run(spark, env.model, env.cpe, env.budgets.map(_ / 1.1), costs,
+      RMA.Config(eps = 0.02, delta = 1.0 / env.n, tau = 0.1, rho = 0.1, seed = 17L))
+    val ev = new repro.eval.Evaluator(env.evalColl, costs, env.budgets)
+    println(f"[scalability] ${spec.name}%-17s h=${Experiments.H}%2d B=$budget%.0f: " +
+      f"time=${r.millis / 1e3}%.1f s revenue=${ev.revenue(r.alloc)}%.0f " +
+      f"seeds=${Alloc.seedCount(r.alloc)} sets=${r.numSets}")
+    assert(ev.revenue(r.alloc) > 0)
   }
 
   test("Fig 5 substrate: RMA on dblp-lite (WC, uniform budgets 10K/31)") {
-    run(GraphGen.Dblp, budget = 315.0, hs = Seq(10))
+    run(GraphGen.Dblp, budget = 315.0)
   }
 
   test("Fig 5 substrate: RMA on livejournal-lite (WC, uniform budgets 100K/120)") {
-    run(GraphGen.LiveJournal, budget = 830.0, hs = Seq(10))
+    run(GraphGen.LiveJournal, budget = 830.0)
   }
 }

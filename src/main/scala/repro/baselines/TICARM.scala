@@ -80,6 +80,10 @@ object TICARM {
     def currentSets: Long = colls.filter(_ != null).map(_.numSets.toLong).sum
 
     def regenerate(i: Int): Unit = {
+      // Free the old collection (the session references it too) before its
+      // replacement is sampled, so at most h collections are held at once.
+      colls(i) = null
+      sessions(i) = null
       regens += 1
       val k = math.max(1, sVec(i))
       val (kpt, kptSets) =

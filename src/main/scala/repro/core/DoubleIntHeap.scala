@@ -55,8 +55,6 @@ final class DoubleIntHeap(initialCapacity: Int = 64) {
     keys(i) = k; elems(i) = e
   }
 
-  def clear(): Unit = count = 0
-
   /** An independent heap with the same pairs in the same array layout, so
     * equal keys pop in the same order from both.
     */

@@ -4,11 +4,10 @@ package repro.core
   * `π_i(·) = cpe(i)·σ_i(·)` per advertiser, with an incremental-session API
   * for greedy selection.
   *
-  * Two implementations exist:
-  *   - [[repro.rrset.RRCollection]] — the sampled estimator `π̃(·, R)` of §4
-  *     (also used as the "oracle" of §3 with a very large fixed `R`);
-  *   - [[ExactOracle]] — brute-force exact spread on tiny graphs, used by
-  *     tests to validate the §3 approximation guarantees.
+  * The one implementation here is [[repro.rrset.RRCollection]], the sampled
+  * estimator `π̃(·, R)` of §4 (also used as the "oracle" of §3 with a very
+  * large fixed `R`). The tests add `ExactOracle`, exact spread on tiny graphs,
+  * to check the §3 approximation guarantees.
   */
 trait RevenueOracle {
   /** Number of nodes in the network. */

@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{CostModel, RMProblem}
+import repro.core.CostModel
 import repro.graph.{GraphGen, InfluenceModel, InfluenceModels, SocialGraph, WeightedCascade}
 import repro.rrset.{RRCollection, RRSource}
 
@@ -42,19 +42,12 @@ object Experiments {
       budgets: Array[Double],
       sigmaSingle: Array[Array[Double]], // h × n
       evalColl: RRCollection,
-      source: RRSource,
   ) {
     def n: Int = graph.n
 
     /** Cost table for a given incentive model and α. */
     def costs(cm: CostModel, alpha: Double): Array[Array[Double]] =
       CostModel.table(cm, alpha, sigmaSingle)
-
-    /** Problem instance evaluated on the *independent* collection (used to
-      * score allocations, not to run algorithms).
-      */
-    def evalProblem(cm: CostModel, alpha: Double): RMProblem =
-      new RMProblem(evalColl, budgets, costs(cm, alpha))
   }
 
   /** Number of RR sets used to measure revenue (paper: 10⁷; scaled to our
@@ -91,6 +84,6 @@ object Experiments {
       val calib = source.collection(calibSets(g.n), seed = 90001L)
       val sigma = Array.tabulate(H)(i => Array.tabulate(g.n)(u => calib.sigmaSingleton(u, i)))
       val evalColl = source.collection(evalSets(g.n), seed = 99001L)
-      Env(spec.name, g, model, cpes, budgets, sigma, evalColl, source)
+      Env(spec.name, g, model, cpes, budgets, sigma, evalColl)
     })
 }

@@ -45,23 +45,21 @@ object Tables {
       val costs = env.costs(cm, alpha)
       val evaluator = new Evaluator(env.evalColl, costs, env.budgets)
       val rmaBudgets = env.budgets.map(_ / (1 + Rho))
-      val t0 = System.nanoTime()
-      val (alloc, sets) = algo match {
+      val (alloc, ms, sets) = algo match {
         case "RMA" =>
           val r = RMA.run(spark, env.model, env.cpe, rmaBudgets, costs,
             RMA.Config(eps = EpsRma, delta = 1.0 / env.n, tau = tau, rho = Rho,
               subsim = subsim, seed = 42L))
-          (r.alloc, 2L * r.numSets)
+          (r.alloc, r.millis, 2L * r.numSets)
         case "TI-CARM" =>
           val r = TICARM.tiCarm(spark, env.model, env.cpe, env.budgets, costs,
             TICARM.Config(eps = EpsTi, seed = 7L, subsim = subsim))
-          (r.alloc, r.totalSetsGenerated)
+          (r.alloc, r.millis, r.totalSetsGenerated)
         case "TI-CSRM" =>
           val r = TICARM.tiCsrm(spark, env.model, env.cpe, env.budgets, costs,
             TICARM.Config(eps = EpsTi, seed = 7L, subsim = subsim))
-          (r.alloc, r.totalSetsGenerated)
+          (r.alloc, r.millis, r.totalSetsGenerated)
       }
-      val ms = (System.nanoTime() - t0) / 1000000L
       RunStats(algo, alloc, ms, evaluator.revenue(alloc), evaluator.seedCost(alloc),
         Alloc.seedCount(alloc), sets)
     })
@@ -73,6 +71,12 @@ object Tables {
 
   private def fmtRow(cells: Seq[String]): String =
     cells.map(c => f"$c%12s").mkString(" | ")
+
+  /** One row per algorithm, each of its runs formatted by `cell`. */
+  private def algoRows(runs: Seq[(String, Seq[RunStats])])(cell: RunStats => String): String =
+    runs.map { case (algo, rs) => fmtRow(algo +: rs.map(cell)) + "\n" }.mkString
+
+  private def seconds(r: RunStats): String = f"${r.millis / 1000.0}%.1f"
 
   /** Table 1 — dataset statistics, ours vs paper. */
   def table1(spark: SparkSession): String = {
@@ -108,24 +112,14 @@ object Tables {
     for (spec <- Seq(GraphGen.Flixster, GraphGen.Lastfm)) {
       val env = Experiments.env(spark, spec)
       sb ++= s"-- ${env.name}\n"
+      val runs = Algos.map(algo => algo -> Alphas.map(a =>
+        runAlgo(spark, env, algo, CostModel.Linear, a, TauDefault, subsim)))
       sb ++= fmtRow(Seq("algorithm") ++ Alphas.map(a => s"a=$a")) + "\n"
-      for (algo <- Algos) {
-        val runs = Alphas.map(a =>
-          runAlgo(spark, env, algo, CostModel.Linear, a, TauDefault, subsim))
-        sb ++= fmtRow(Seq(algo) ++ runs.map(r => f"${r.millis / 1000.0}%.1f")) + "\n"
-      }
+      sb ++= algoRows(runs)(seconds)
       sb ++= fmtRow(Seq("[revenue]") ++ Seq.fill(Alphas.size)("")) + "\n"
-      for (algo <- Algos) {
-        val runs = Alphas.map(a =>
-          runAlgo(spark, env, algo, CostModel.Linear, a, TauDefault, subsim))
-        sb ++= fmtRow(Seq(algo) ++ runs.map(r => f"${r.revenue}%.0f")) + "\n"
-      }
+      sb ++= algoRows(runs)(r => f"${r.revenue}%.0f")
       sb ++= fmtRow(Seq("[seedcost]") ++ Seq.fill(Alphas.size)("")) + "\n"
-      for (algo <- Algos) {
-        val runs = Alphas.map(a =>
-          runAlgo(spark, env, algo, CostModel.Linear, a, TauDefault, subsim))
-        sb ++= fmtRow(Seq(algo) ++ runs.map(r => f"${r.seedCost}%.0f")) + "\n"
-      }
+      sb ++= algoRows(runs)(r => f"${r.seedCost}%.0f")
     }
     sb.result()
   }
@@ -139,17 +133,16 @@ object Tables {
     for (spec <- Seq(GraphGen.Lastfm, GraphGen.Flixster)) {
       val env = Experiments.env(spark, spec)
       sb ++= s"-- ${env.name}\n"
-      sb ++= fmtRow(Seq("algorithm") ++ Taus.map(t => s"t=$t")) + "\n"
-      for (algo <- Algos) {
-        val runs = Taus.map { t =>
-          val tau = if (algo == "RMA") t else TauDefault
-          runAlgo(spark, env, algo, CostModel.Linear, 0.1, tau, subsim = false)
-        }
-        sb ++= fmtRow(Seq(algo) ++ runs.map(r => f"${r.millis / 1000.0}%.1f")) + "\n"
+      def at(algo: String, tau: Double) =
+        runAlgo(spark, env, algo, CostModel.Linear, 0.1, tau, subsim = false)
+      val rma = Taus.map(at("RMA", _))
+      val runs = Algos.map { algo =>
+        if (algo == "RMA") algo -> rma
+        else { val r = at(algo, TauDefault); algo -> Taus.map(_ => r) }
       }
-      sb ++= "   [RMA revenue across tau] " +
-        Taus.map(t => f"${runAlgo(spark, env, "RMA", CostModel.Linear, 0.1, t, subsim = false).revenue}%.0f")
-          .mkString(" ") + "\n"
+      sb ++= fmtRow(Seq("algorithm") ++ Taus.map(t => s"t=$t")) + "\n"
+      sb ++= algoRows(runs)(seconds)
+      sb ++= "   [RMA revenue across tau] " + rma.map(r => f"${r.revenue}%.0f").mkString(" ") + "\n"
     }
     sb.result()
   }

@@ -109,14 +109,6 @@ final class WeightedCascade(val graph: SocialGraph, val h: Int) extends Influenc
   def prob(i: Int): Array[Double] = p
 }
 
-/** Fixed explicit probabilities (tests): `probs(i)(e)` per advertiser/edge. */
-final class ExplicitModel(val graph: SocialGraph, val probs: Array[Array[Double]])
-    extends InfluenceModel {
-  require(probs.nonEmpty && probs.forall(_.length == graph.m))
-  def h: Int = probs.length
-  def prob(i: Int): Array[Double] = probs(i)
-}
-
 object InfluenceModels {
   /** The TIC configuration used for lastfm-lite: 2 topics/ad, per-topic
     * sparsity 0.48 => ~1-0.48² ≈ 77% positive per-ad probabilities (paper §5.1).

@@ -72,19 +72,9 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
       members = java.util.Arrays.copyOf(members, grownCapacity(members.length, nodes, MaxArrayLength))
   }
 
-  /** Append one RR set. Invalidates the index until [[rebuildIndex]]. */
-  def add(tag: Int, nodes: Array[Int], len: Int): Unit = {
-    reserve(1, len.toLong)
-    System.arraycopy(nodes, 0, members, _totalNodes, len)
-    tags(_numSets) = tag.toByte
-    _numSets += 1
-    _totalNodes += len
-    starts(_numSets) = _totalNodes
-    indexValid = false
-  }
-
   /** Append a packed batch: per-set tags and sizes plus concatenated members,
-    * with one bulk copy of the tags and one of the members.
+    * with one bulk copy of the tags and one of the members. Invalidates the
+    * index until [[rebuildIndex]].
     */
   def addPacked(batchTags: Array[Byte], sizes: Array[Int], nodes: Array[Int]): Unit = {
     val k = batchTags.length
@@ -105,9 +95,6 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
   }
 
   def tagOf(sid: Int): Int = tags(sid)
-  def setStart(sid: Int): Int = starts(sid)
-  def setEnd(sid: Int): Int = starts(sid + 1)
-  def memberAt(pos: Int): Int = members(pos)
   def setMembers(sid: Int): Array[Int] =
     java.util.Arrays.copyOfRange(members, starts(sid), starts(sid + 1))
 

@@ -76,8 +76,7 @@ class TIMSpec extends SparkSpec {
         generated += coll.numSets
         var sumKappa = 0.0
         for (sid <- 0 until coll.numSets) {
-          var w = 0L
-          for (p <- coll.setStart(sid) until coll.setEnd(sid)) w += graph.inDegree(coll.memberAt(p))
+          val w = coll.setMembers(sid).map(graph.inDegree(_).toLong).sum
           sumKappa += 1 - math.pow(1 - w.toDouble / m, k)
         }
         if (sumKappa / coll.numSets > 1.0 / (1L << i)) return (n * sumKappa / (2 * coll.numSets), generated)

@@ -42,13 +42,6 @@ class DoubleIntHeapSpec extends AnyFunSuite {
     assert(elems == Set(0, 1, 2, 3, 4))
   }
 
-  test("clear empties the heap") {
-    val h = new DoubleIntHeap()
-    h.push(1, 1); h.push(2, 2)
-    h.clear()
-    assert(h.isEmpty)
-  }
-
   test("interleaved push/pop keeps max property") {
     val h = new DoubleIntHeap()
     h.push(5, 5); h.push(2, 2)

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph.{ExplicitModel, SocialGraph}
-import repro.rrset.{RRCollection, RRSource}
+import repro.rrset.{RRCollection, RRSource, TestSets}
 
 class RMASpec extends SparkSpec {
 
@@ -66,7 +66,7 @@ class RMASpec extends SparkSpec {
 
   test("seekUB never exceeds the trivial bound π̃(S*)/λ") {
     val rr = new RRCollection(4, Array(1.0))
-    rr.add(0, Array(0), 1); rr.add(0, Array(1), 1); rr.add(0, Array(0, 1), 2)
+    Seq(Array(0), Array(1), Array(0, 1)).foreach(TestSets.append(rr, 0, _))
     rr.rebuildIndex()
     val alloc: Alloc.Alloc = Vector(Vector(0))
     val z = RMA.seekUB(rr, alloc, None, lambda = 1.0 / 3, h = 1)
@@ -210,6 +210,21 @@ class RMASpec extends SparkSpec {
       assert(!(r.beta >= r.lambda - c.eps && r.feasibleAtStop), where)
       assert(Alloc.disjoint(r.alloc), where)
     }
+  }
+
+  test("RMA's θ_max stop: θ_max below θ₀'s 256-set floor ends round 1 although R₂'s check fails") {
+    // Two nodes and a budget near one seed's payment: θ_max ≈ 239 < 256 sets.
+    // Node 0 is too expensive, so node 1 is the only seed; R₂'s upper bound
+    // on its revenue exceeds (1+ϱ)B minus its cost.
+    val g2 = SocialGraph.fromPairs(2, Seq((0, 1)))
+    val m2 = new ExplicitModel(g2, Array(Array(0.5)))
+    val c = RMA.Config(eps = 0.3, delta = 0.99, tau = 0.1, rho = 0.9, seed = 26L)
+    val r = RMA.run(spark, m2, Array(1.0), Array(0.7), Array(Array(5.0, 0.01)), c)
+    val where = s"θ₀=${r.theta0} θ_max=${r.thetaMax} β=${r.beta}"
+    assert(r.iterations == 1 && r.theta0 == 256, where)
+    assert(r.numSets >= r.thetaMax && r.numSets < c.maxSetsCap, where)
+    assert(!r.feasibleAtStop, where)
+    assert(r.alloc == Vector(Vector(1)), where)
   }
 
   test("RMA's infeasible branch: tight budgets fail R₂'s feasibility check, and RMA keeps doubling") {

@@ -27,7 +27,7 @@ class RMProblemSpec extends AnyFunSuite {
     val c = new repro.rrset.RRCollection(12, Array(1.0, 2.5, 0.7))
     for (_ <- 0 until 500) {
       val ms = Array.fill(1 + rng.nextInt(5))(rng.nextInt(12)).distinct
-      c.add(rng.nextInt(3), ms, ms.length)
+      repro.rrset.TestSets.append(c, rng.nextInt(3), ms)
     }
     c.rebuildIndex()
     val p = new RMProblem(c, Array.fill(3)(10.0), Array.fill(3, 12)(1.0))

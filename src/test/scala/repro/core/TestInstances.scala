@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.SplittableRandom
 import repro.graph.{ExplicitModel, SocialGraph}
-import repro.rrset.RRCollection
+import repro.rrset.{RRCollection, TestSets}
 
 /** Shared tiny fixtures for algorithm tests: deterministic and probabilistic
   * micro-instances with exact oracles, plus a random-instance generator for
@@ -86,7 +86,7 @@ object TestInstances {
     val rr = new RRCollection(n, cpe)
     for (_ <- 0 until sets) {
       val members = Array.fill(1 + rng.nextInt(5))(rng.nextInt(n)).distinct
-      rr.add(rng.nextInt(h), members, members.length)
+      TestSets.append(rr, rng.nextInt(h), members)
     }
     rr.rebuildIndex()
     val costs = Array.fill(h, n)(0.2 + 2.0 * rng.nextDouble())

@@ -2,16 +2,16 @@ package repro.eval
 
 import repro.SparkSpec
 import repro.core.Alloc.Alloc
-import repro.rrset.RRCollection
+import repro.rrset.{RRCollection, TestSets}
 
 class EvaluatorSpec extends SparkSpec {
 
   private def mkColl(): RRCollection = {
     val c = new RRCollection(5, Array(1.0, 2.0))
-    c.add(0, Array(0, 1), 2)
-    c.add(0, Array(2), 1)
-    c.add(1, Array(1, 3), 2)
-    c.add(1, Array(4), 1)
+    TestSets.append(c, 0, Array(0, 1))
+    TestSets.append(c, 0, Array(2))
+    TestSets.append(c, 1, Array(1, 3))
+    TestSets.append(c, 1, Array(4))
     c.rebuildIndex()
     c
   }

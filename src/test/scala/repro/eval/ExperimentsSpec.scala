@@ -1,7 +1,7 @@
 package repro.eval
 
 import repro.SparkSpec
-import repro.core.CostModel
+import repro.core.{CostModel, RMProblem}
 import repro.graph.GraphGen
 
 class ExperimentsSpec extends SparkSpec {
@@ -79,7 +79,8 @@ class ExperimentsSpec extends SparkSpec {
 
   test("eval problem wires the independent collection") {
     val env = Experiments.env(spark, GraphGen.Lastfm)
-    val p = env.evalProblem(CostModel.Linear, 0.1)
+    val p = new RMProblem(env.evalColl, env.budgets, env.costs(CostModel.Linear, 0.1))
+    assert(env.evalColl.numSets == Experiments.evalSets(env.n))
     assert(p.oracle eq env.evalColl)
     assert(p.budgets sameElements env.budgets)
   }

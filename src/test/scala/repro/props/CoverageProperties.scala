@@ -3,7 +3,7 @@ package repro.props
 import org.scalacheck.{Gen, Prop, Properties}
 import org.scalacheck.Prop.propBoolean
 import repro.core.DoubleIntHeap
-import repro.rrset.RRCollection
+import repro.rrset.{RRCollection, TestSets}
 
 /** ScalaCheck property suites (run by sbt's ScalaCheck framework) for the
   * low-level engines whose invariants every greedy algorithm relies on.
@@ -36,7 +36,7 @@ object CoverageProperties extends Properties("RRCollection") {
 
   private def build(sets: List[(Int, List[Int])]): RRCollection = {
     val c = new RRCollection(10, Array(1.0, 2.0))
-    sets.foreach { case (t, ms) => c.add(t, ms.toArray, ms.size) }
+    sets.foreach { case (t, ms) => TestSets.append(c, t, ms.toArray) }
     c.rebuildIndex()
     c
   }

@@ -14,7 +14,7 @@ object IndexProperties extends Properties("RRCollection index") {
     (0 until c.h).forall(i => (0 until c.n).forall(u => c.setsContaining(u, i).sameElements(ref(i)(u).result())))
   }
 
-  /** A batch of sets with distinct members; one-set batches go through `add`. */
+  /** A batch of sets with distinct members. */
   private final case class Batch(tags: Array[Byte], sets: Array[Array[Int]])
 
   private def genBatch(h: Int, n: Int): Gen[Batch] =
@@ -31,10 +31,7 @@ object IndexProperties extends Properties("RRCollection index") {
     batches <- Gen.listOf(genBatch(h, n))
   } yield {
     val c = new RRCollection(n, Array.fill(h)(1.0))
-    batches.foreach { b =>
-      if (b.sets.length == 1) c.add(b.tags(0), b.sets(0), b.sets(0).length)
-      else c.addPacked(b.tags, b.sets.map(_.length), b.sets.flatten)
-    }
+    batches.foreach(b => c.addPacked(b.tags, b.sets.map(_.length), b.sets.flatten))
     c.rebuildIndex()
     c
   }

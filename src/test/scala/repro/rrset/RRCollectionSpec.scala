@@ -6,7 +6,7 @@ class RRCollectionSpec extends AnyFunSuite {
 
   private def mk(n: Int, cpe: Array[Double], sets: Seq[(Int, Seq[Int])]): RRCollection = {
     val c = new RRCollection(n, cpe)
-    sets.foreach { case (tag, ms) => c.add(tag, ms.toArray, ms.size) }
+    sets.foreach { case (tag, ms) => TestSets.append(c, tag, ms.toArray) }
     c.rebuildIndex()
     c
   }
@@ -96,7 +96,7 @@ class RRCollectionSpec extends AnyFunSuite {
 
   test("growth past initial capacity keeps contents") {
     val c = new RRCollection(3, Array(1.0))
-    for (k <- 0 until 5000) c.add(0, Array(k % 3), 1)
+    for (k <- 0 until 5000) TestSets.append(c, 0, Array(k % 3))
     c.rebuildIndex()
     assert(c.numSets == 5000)
     assert(c.singletonCount(0, 0) + c.singletonCount(1, 0) + c.singletonCount(2, 0) == 5000)
@@ -105,7 +105,7 @@ class RRCollectionSpec extends AnyFunSuite {
   test("appending after index rebuild invalidates and rebuilds correctly") {
     val c = mk(3, Array(1.0), Seq((0, Seq(0))))
     assert(c.singletonCount(0, 0) == 1)
-    c.add(0, Array(0), 1)
+    TestSets.append(c, 0, Array(0))
     c.rebuildIndex()
     assert(c.singletonCount(0, 0) == 2)
     assert(c.scalePerSet == 3.0 / 2)
@@ -147,7 +147,9 @@ class RRCollectionSpec extends AnyFunSuite {
 
   test("appends past the incidence limit fail with a message before any count wraps") {
     val c = mk(4, Array(1.0), Seq((0, Seq(0, 1))))
-    val e1 = intercept[IllegalStateException](c.add(0, Array(0), RRCollection.MaxArrayLength - 1))
+    // `reserve` rejects the declared size before `addPacked` checks it against the members.
+    val e1 = intercept[IllegalStateException](
+      c.addPacked(Array[Byte](0), Array(RRCollection.MaxArrayLength - 1), Array(0)))
     assert(e1.getMessage.contains(s"${RRCollection.MaxArrayLength.toLong + 1} incidences"))
     // These sizes sum to 2^32 - 2, which an Int total would wrap to -2.
     val e2 = intercept[IllegalStateException](
