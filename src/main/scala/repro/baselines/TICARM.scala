@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{DoubleIntHeap, RevenueSession}
+import repro.core.{DoubleIntHeap, LazyGreedy, RevenueSession}
 import repro.core.Alloc.Alloc
 import repro.graph.InfluenceModel
 import repro.rrset.{RRCollection, RRSource}
@@ -16,7 +16,8 @@ import repro.rrset.{RRCollection, RRSource}
   *   - s_i starts at 1 and is re-estimated (and the sample re-generated,
   *     KPT re-estimated) whenever |S_i| reaches s_i;
   *   - greedy selection across advertisers by marginal gain (TI-CARM) or
-  *     marginal rate (TI-CSRM);
+  *     marginal rate (TI-CSRM), on one [[LazyGreedy]] heap of every element
+  *     (i, u) that is rebuilt after each regeneration;
   *   - budget feasibility is *conservative*: the spread estimate is inflated
   *     to an upper bound (factor 1+ε) before testing against B_i, so the
   *     returned allocation never overshoots but typically under-utilises the
@@ -68,14 +69,13 @@ object TICARM {
       already + k
     }
 
-    val sVec = new Array[Int](h)
+    val sVec = Array.fill(h)(1)
     val colls = new Array[RRCollection](h)
     val sessions = new Array[RevenueSession](h)
     val sLists = Array.fill(h)(Vector.newBuilder[Int])
     val sSizes = new Array[Int](h)
     val costS = new Array[Double](h)
     val terminated = new Array[Boolean](h)
-    val heaps = new Array[DoubleIntHeap](h)
 
     def currentSets: Long = colls.filter(_ != null).map(_.numSets.toLong).sum
 
@@ -93,92 +93,59 @@ object TICARM {
       colls(i) = sources(i).collection(th, cfg.seed * 101 + i * 13 + regens, cfg.subsim)
       totalGenerated += th
       peakSets = math.max(peakSets, currentSets)
-      // Rebuild the session (replay S_i) and this advertiser's heap.
+      // Rebuild the session by replaying S_i.
       val sess = colls(i).newSession()
       sLists(i).result().foreach(u => sess.add(u, 0))
       sessions(i) = sess
-      val hp = new DoubleIntHeap(n)
-      var u = 0
-      while (u < n) {
-        if (!assigned(u)) {
-          val g = sess.gain(u, 0)
-          val key = if (costSensitive) RevenueSession.rate(g, costs(i)(u)) else g
-          if (g > 0 || !costSensitive) hp.push(key, u)
-        }
-        u += 1
-      }
-      heaps(i) = hp
     }
 
-    var i = 0
-    while (i < h) {
-      sVec(i) = 1
-      regenerate(i)
-      i += 1
+    (0 until h).foreach(regenerate)
+
+    def dead(e: Int): Boolean = terminated(e / n) || assigned(e % n)
+    def keyOf(e: Int): Double = {
+      val ad = e / n; val u = e % n
+      val g = sessions(ad).gain(u, 0)
+      if (costSensitive) RevenueSession.rate(g, costs(ad)(u)) else g
+    }
+    // Every live element i·n + u, pushed in (i, u) order; under TI-CSRM a
+    // zero-gain element is left out.
+    def liveHeap(): DoubleIntHeap = {
+      val heap = new DoubleIntHeap(n * h)
+      for (e <- 0 until n * h if !dead(e) && (!costSensitive || sessions(e / n).gain(e % n, 0) > 0))
+        heap.push(keyOf(e), e)
+      heap
     }
 
-    def keyOf(i: Int, u: Int): Double = {
-      val g = sessions(i).gain(u, 0)
-      if (costSensitive) RevenueSession.rate(g, costs(i)(u)) else g
-    }
-
-    // Freshen ad i's heap top; returns true if a valid fresh top exists. Not
-    // `LazyGreedy`: the stale test compares the fresh key with the element's
-    // own cached key, not the next top, and the fresh top stays in the heap
-    // so the tops of all advertisers can be compared.
-    def freshen(i: Int): Boolean = {
-      val hp = heaps(i)
-      var ok = false
-      var done = false
-      while (!done && hp.nonEmpty) {
-        val u = hp.topElem
-        if (assigned(u)) hp.removeTop()
-        else {
-          val k = hp.topKey
-          val cur = keyOf(i, u)
-          if (cur < k - 1e-12) { hp.removeTop(); hp.push(cur, u) }
-          else { ok = true; done = true }
+    // A regeneration moves that advertiser's keys both ways, so the lazy run
+    // stops after one and the heap is rebuilt with fresh keys.
+    var regenerated = true
+    while (regenerated) {
+      regenerated = false
+      // A dead element is dropped before its key is recomputed: its key is
+      // +∞, which is never stale, and `take` skips it.
+      LazyGreedy.run(liveHeap(), LazyGreedy.NeverCancelled,
+                     e => if (dead(e)) Double.PositiveInfinity else keyOf(e)) { (e, _) =>
+        if (!dead(e)) {
+          val ad = e / n; val u = e % n
+          val g = sessions(ad).gain(u, 0)
+          val c = costs(ad)(u)
+          // conservative feasibility: spread estimate inflated to an upper bound
+          val piUb = (sessions(ad).pi(0) + g) * (1 + cfg.eps)
+          if (costS(ad) + c + piUb <= budgets(ad) + 1e-9) {
+            sessions(ad).add(u, 0)
+            costS(ad) += c
+            sLists(ad) += u
+            sSizes(ad) += 1
+            assigned(u) = true
+            if (sSizes(ad) >= sVec(ad)) {
+              val remaining = budgets(ad) - costS(ad) - sessions(ad).pi(0) * (1 + cfg.eps)
+              val newS = sizeUpper(ad, sSizes(ad), math.max(0.0, remaining))
+              if (newS <= sSizes(ad)) terminated(ad) = true
+              else { sVec(ad) = newS; regenerate(ad); regenerated = true }
+            }
+          } else terminated(ad) = true
         }
-      }
-      ok
-    }
-
-    var active = (0 until h).count(!terminated(_))
-    while (active > 0) {
-      // pick the best fresh top across non-terminated advertisers
-      var bestAd = -1
-      var bestKey = -1.0
-      var j = 0
-      while (j < h) {
-        if (!terminated(j)) {
-          if (!freshen(j)) { terminated(j) = true; active -= 1 }
-          else if (heaps(j).topKey > bestKey) { bestKey = heaps(j).topKey; bestAd = j }
-        }
-        j += 1
-      }
-      if (bestAd >= 0) {
-        val u = heaps(bestAd).topElem
-        heaps(bestAd).removeTop()
-        val g = sessions(bestAd).gain(u, 0)
-        val c = costs(bestAd)(u)
-        // conservative feasibility: spread estimate inflated to an upper bound
-        val piUb = (sessions(bestAd).pi(0) + g) * (1 + cfg.eps)
-        if (costS(bestAd) + c + piUb <= budgets(bestAd) + 1e-9) {
-          sessions(bestAd).add(u, 0)
-          costS(bestAd) += c
-          sLists(bestAd) += u
-          sSizes(bestAd) += 1
-          assigned(u) = true
-          if (sSizes(bestAd) >= sVec(bestAd)) {
-            val remaining = budgets(bestAd) - costS(bestAd) - sessions(bestAd).pi(0) * (1 + cfg.eps)
-            val newS = sizeUpper(bestAd, sSizes(bestAd), math.max(0.0, remaining))
-            if (newS <= sSizes(bestAd)) { terminated(bestAd) = true; active -= 1 }
-            else { sVec(bestAd) = newS; regenerate(bestAd) }
-          }
-        } else {
-          terminated(bestAd) = true
-          active -= 1
-        }
+        !regenerated && !terminated.forall(identity)
       }
     }
 

@@ -5,8 +5,7 @@ package repro.core
   * Used as a *lazy* heap by every greedy algorithm here: cached keys may be
   * stale (too high, never too low — marginal gains/rates only decrease).
   * [[LazyGreedy]] pops, recomputes the key, and either takes the element (if
-  * still ≥ the next top) or re-pushes it with the fresh key; `TICARM`'s
-  * per-advertiser heaps refresh their tops in place.
+  * still ≥ the next top) or re-pushes it with the fresh key.
   */
 final class DoubleIntHeap(initialCapacity: Int = 64) {
   private var keys = new Array[Double](math.max(4, initialCapacity))

@@ -4,7 +4,8 @@ import java.util.concurrent.CancellationException
 import java.util.concurrent.atomic.AtomicBoolean
 
 /** The lazy greedy loop (CELF, Leskovec et al., KDD 2007) that Greedy,
-  * ThresholdGreedy's threshold phase, Fill and CA/CS-Greedy run.
+  * ThresholdGreedy's threshold phase, Fill and TI-CARM/TI-CSRM run, and the
+  * tests' CA/CS-Greedy.
   *
   * A heap key is a marginal gain or rate cached when the element was pushed.
   * Keys only decrease as the allocation grows, so a cached key bounds the

@@ -19,16 +19,6 @@ final class RMProblem(
   def n: Int = oracle.n
   def h: Int = oracle.h
 
-  /** Seed-incentive cost of a set: `c_i(X) = Σ_{u∈X} c_i(u)`. */
-  def costOf(i: Int, xs: Iterable[Int]): Double = {
-    var s = 0.0
-    for (u <- xs) s += costs(i)(u)
-    s
-  }
-
-  /** Total payment `c_i(X) + π_i(X)` of advertiser i for seed set X. */
-  def paymentOf(i: Int, xs: Iterable[Int]): Double = costOf(i, xs) + oracle.piOf(i, xs)
-
   /** π_i({u}) for every element, used by feasibility filters and γ_max.
     * Computed once per problem; O(h·n) for the RR oracle.
     */

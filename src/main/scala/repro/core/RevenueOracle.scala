@@ -31,10 +31,11 @@ trait RevenueOracle {
 
 /** Incremental marginal-gain engine over a growing allocation `S⃗`.
   *
-  * Guarantee required by [[LazyGreedy]] (and `TICARM`'s own lazy heaps):
-  * `gain(u, i)` is non-increasing over the lifetime of the session
-  * (submodularity of `π_i`, which holds exactly for coverage estimators and
-  * for the exact TIC spread).
+  * Guarantee required by [[LazyGreedy]]: `gain(u, i)` is non-increasing
+  * over the lifetime of the session (submodularity of `π_i`, which holds
+  * exactly for coverage estimators and for the exact TIC spread). A caller
+  * that replaces a session, as TI-CARM does after a regeneration, rebuilds
+  * its heap with fresh keys.
   */
 trait RevenueSession {
   /** `π_i(u | S_i)` under the current allocation. */

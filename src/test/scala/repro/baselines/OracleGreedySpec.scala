@@ -45,7 +45,7 @@ class OracleGreedySpec extends AnyFunSuite {
       for (alg <- Seq(OracleGreedy.caGreedy(prob), OracleGreedy.csGreedy(prob))) {
         assert(Alloc.disjoint(alg))
         for (i <- 0 until prob.h)
-          assert(prob.paymentOf(i, alg(i)) <= prob.budgets(i) + 1e-6)
+          assert(TestInstances.payment(prob, i, alg(i)) <= prob.budgets(i) + 1e-6)
       }
     }
   }

@@ -62,14 +62,16 @@ class TICARMSpec extends SparkSpec {
   test("runs are deterministic in the seed") {
     // At budgets (30, 30) TI-CARM picks 8 + 5 seeds (the pin below); at
     // tighter ones its first pick overshoots and both runs would be empty.
+    // TI-CSRM's linear-cost rates nearly tie, so its runs check the tie order.
     val costs = CostModel.table(CostModel.Linear, 0.2, sigmaTable)
     val budgets = Array(30.0, 30.0)
-    for (subsim <- Seq(false, true)) {
+    for ((name, alg) <- Seq("TI-CARM" -> TICARM.tiCarm _, "TI-CSRM" -> TICARM.tiCsrm _);
+         subsim <- Seq(false, true)) {
       val c = cfg.copy(subsim = subsim)
-      val a = TICARM.tiCarm(spark, model, cpe, budgets, costs, c)
-      val b = TICARM.tiCarm(spark, model, cpe, budgets, costs, c)
-      assert(a.alloc.forall(_.nonEmpty), s"subsim=$subsim: ${a.alloc}")
-      assert(a.alloc == b.alloc, s"subsim=$subsim")
+      val a = alg(spark, model, cpe, budgets, costs, c)
+      val b = alg(spark, model, cpe, budgets, costs, c)
+      assert(a.alloc.forall(_.nonEmpty), s"$name subsim=$subsim: ${a.alloc}")
+      assert(a.alloc == b.alloc, s"$name subsim=$subsim")
     }
   }
 

@@ -113,7 +113,7 @@ object BruteForce {
         var ok = true
         var i = 0
         while (i < h && ok) {
-          if (prob.paymentOf(i, alloc(i)) > prob.budgets(i) + 1e-9) ok = false
+          if (TestInstances.payment(prob, i, alloc(i)) > prob.budgets(i) + 1e-9) ok = false
           i += 1
         }
         if (ok) {

@@ -142,7 +142,7 @@ class ExactOracleSpec extends AnyFunSuite {
     val prob = new RMProblem(o, Array(2.5), Array(Array.fill(4)(0.5)))
     val (opt, alloc) = BruteForce.optimal(prob)
     assert(opt == 2.0, s"alloc=$alloc")
-    assert(prob.paymentOf(0, alloc(0)) <= 2.5 + 1e-9)
+    assert(TestInstances.payment(prob, 0, alloc(0)) <= 2.5 + 1e-9)
   }
 
   test("BruteForce.optimal with two ads keeps seed sets disjoint by construction") {

@@ -15,13 +15,13 @@ class GreedySpec extends AnyFunSuite {
     val prob = singleAdProblem(100.0, Array.fill(4)(0.5), TestInstances.chain4())
     val s = Greedy.run(prob, (0 until 4).toVector, 0)
     assert(s.contains(0))
-    assert(prob.paymentOf(0, s) <= 100.0 + 1e-9)
+    assert(TestInstances.payment(prob, 0, s) <= 100.0 + 1e-9)
   }
 
   test("respects the budget constraint c+π ≤ B") {
     val prob = singleAdProblem(3.0, Array.fill(4)(0.5), TestInstances.chain4())
     val s = Greedy.run(prob, (0 until 4).toVector, 0)
-    assert(prob.paymentOf(0, s) <= 3.0 + 1e-9)
+    assert(TestInstances.payment(prob, 0, s) <= 3.0 + 1e-9)
   }
 
   test("individually infeasible candidates are filtered (line 1)") {
@@ -30,7 +30,7 @@ class GreedySpec extends AnyFunSuite {
     val s = Greedy.run(prob, (0 until 5).toVector, 0)
     assert(!s.contains(0))
     assert(s.nonEmpty)
-    assert(prob.paymentOf(0, s) <= 2.0 + 1e-9)
+    assert(TestInstances.payment(prob, 0, s) <= 2.0 + 1e-9)
   }
 
   test("empty candidate set returns empty") {
@@ -61,7 +61,7 @@ class GreedySpec extends AnyFunSuite {
       val s = Greedy.run(p2, (0 until p2.n).toVector, 0)
       val got = p2.oracle.piOf(0, s)
       assert(got >= opt / 3.0 - 1e-9, s"seed=$seed got=$got opt=$opt")
-      assert(p2.paymentOf(0, s) <= p2.budgets(0) + 1e-9)
+      assert(TestInstances.payment(p2, 0, s) <= p2.budgets(0) + 1e-9)
     }
   }
 

@@ -36,7 +36,7 @@ object RMAGuarantee extends Properties("RMA") {
       val where = s"subsim=$subsim π=$pi OPT=$opt λ=${r.lambda} rounds=${r.iterations}"
       Prop.collect(r.iterations) {
         (pi >= (r.lambda - cfg.eps) * opt - 1e-9) :| where &&
-          (0 until prob.h).forall(i => prob.paymentOf(i, r.alloc(i)) <= (1 + cfg.rho) * prob.budgets(i) + 1e-9) :| where
+          (0 until prob.h).forall(i => TestInstances.payment(prob, i, r.alloc(i)) <= (1 + cfg.rho) * prob.budgets(i) + 1e-9) :| where
       }
     }: _*)
   }

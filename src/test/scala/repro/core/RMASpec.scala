@@ -73,6 +73,36 @@ class RMASpec extends SparkSpec {
     assert(math.abs(z - Alloc.piTotal(rr, alloc) * 3) < 1e-9)
   }
 
+  test("seekUB takes each multi-advertiser branch of Alg 7, capped at π̃(S*)/λ") {
+    // h = 4 (so b_min = 2); advertiser i's sets are {2i}, {2i+1}, {2i, 2i+1}.
+    val h = 4
+    val rr = new RRCollection(2 * h, Array(1.0, 1.5, 2.0, 0.5))
+    for (i <- 0 until h; ms <- Seq(Array(2 * i), Array(2 * i + 1), Array(2 * i, 2 * i + 1)))
+      TestSets.append(rr, i, ms)
+    rr.rebuildIndex()
+    val lam = Search.lambda(h, 0.1)
+    val sStar: Alloc.Alloc = Vector.tabulate(h)(i => Vector(2 * i, 2 * i + 1))
+    val t1: Alloc.Alloc = Vector.tabulate(h)(i => Vector(2 * i))
+    val t2: Alloc.Alloc = Vector(Vector(0), Vector(), Vector(), Vector())
+    def pi(a: Alloc.Alloc) = Alloc.piTotal(rr, a)
+    val trivial = pi(sStar) / lam
+    def ub(t1: Option[Alloc.Alloc], b1: Int, t2: Option[Alloc.Alloc], b2: Int, g2: Double) =
+      RMA.seekUB(rr, sStar, Some(Search.SearchInfo(t1, b1, 0.0, t2, b2, g2, bMin = 2, calls = 0, discarded = 0)), lam, h)
+    val cases = Seq(
+      "b₁ < b_min with T₂" -> (ub(Some(t1), 1, Some(t2), 0, 0.5), 6 * pi(t2)),
+      "b₁ < b_min without T₂" -> (ub(Some(t1), 1, None, 0, 0.5), trivial),
+      "T₂ with b₂ = 0" -> (ub(Some(t1), 2, Some(t2), 0, 0.5), 2 * pi(t2) + h * 0.5),
+      "T₂ with b₂ > 0" -> (ub(Some(t1), 2, Some(t2), 1, 0.5), 6 * pi(t2) + h * 0.5),
+      "T₁ only" -> (ub(Some(t1), 2, None, 0, 0.5), pi(t1) / lam),
+      "T₂ above the cap" -> (ub(Some(t1), 2, Some(t2), 1, 1000.0), trivial),
+    )
+    for ((branch, (got, expected)) <- cases) assert(math.abs(got - expected) < 1e-9, branch)
+    // Every uncapped value is distinct and below the cap, so each assertion
+    // sees its own branch.
+    val uncapped = cases.map(_._2._2).filter(_ != trivial)
+    assert(uncapped.distinct.size == 4 && uncapped.forall(_ < trivial), uncapped)
+  }
+
   test("RMA returns a bicriteria-feasible solution on the small instance") {
     val r = RMA.run(spark, model, cpe, budgets, costs, cfg)
     for (i <- 0 until 2) {

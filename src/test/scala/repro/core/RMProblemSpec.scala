@@ -6,17 +6,6 @@ class RMProblemSpec extends AnyFunSuite {
 
   private val prob = TestInstances.randomDeterministicInstance(1, n = 6, h = 2)
 
-  test("costOf sums per-node costs") {
-    val xs = Seq(0, 2, 4)
-    assert(math.abs(prob.costOf(0, xs) - xs.map(prob.costs(0)).sum) < 1e-12)
-  }
-
-  test("paymentOf = cost + revenue") {
-    val xs = Seq(1, 3)
-    assert(math.abs(prob.paymentOf(1, xs) -
-      (prob.costOf(1, xs) + prob.oracle.piOf(1, xs))) < 1e-12)
-  }
-
   test("singletonPi matches oracle piOf") {
     for (i <- 0 until prob.h; u <- 0 until prob.n)
       assert(math.abs(prob.singletonPi(i)(u) - prob.oracle.piOf(i, Seq(u))) < 1e-12)

@@ -40,7 +40,7 @@ class SearchSpec extends AnyFunSuite {
       val r = Search.run(prob, tau = 0.1, bMin = 1)
       assert(Alloc.disjoint(r.best))
       for (i <- 0 until prob.h)
-        assert(prob.paymentOf(i, r.best(i)) <= prob.budgets(i) + 1e-6)
+        assert(TestInstances.payment(prob, i, r.best(i)) <= prob.budgets(i) + 1e-6)
     }
   }
 
@@ -107,7 +107,7 @@ class SearchSpec extends AnyFunSuite {
     val r2 = Search.run(prob, tau = 0.05, bMin = 1)
     // not a theorem about realised revenue, but both must be feasible
     for (r <- Seq(r1, r2); i <- 0 until prob.h)
-      assert(prob.paymentOf(i, r.best(i)) <= prob.budgets(i) + 1e-6)
+      assert(TestInstances.payment(prob, i, r.best(i)) <= prob.budgets(i) + 1e-6)
   }
 
   test("search terminates within its iteration cap on adversarial budgets") {

@@ -10,6 +10,10 @@ import repro.rrset.{RRCollection, TestSets}
   */
 object TestInstances {
 
+  /** Advertiser i's payment for seed set X: `c_i(X) + π_i(X)`. */
+  def payment(prob: RMProblem, i: Int, xs: Iterable[Int]): Double =
+    xs.iterator.map(prob.costs(i)).sum + prob.oracle.piOf(i, xs)
+
   /** Path 0→1→2→3 with p=1 everywhere: σ({0}) = 4, σ({1}) = 3, … */
   def chain4(h: Int = 1): (SocialGraph, ExplicitModel) = {
     val g = SocialGraph.fromPairs(4, Seq((0, 1), (1, 2), (2, 3)))

@@ -8,7 +8,7 @@ class ThresholdGreedySpec extends AnyFunSuite {
     val prob = TestInstances.randomDeterministicInstance(3, n = 6, h = 2)
     val r = ThresholdGreedy.run(prob, 0.0)
     for (i <- 0 until prob.h)
-      assert(prob.paymentOf(i, r.alloc(i)) <= prob.budgets(i) + 1e-6)
+      assert(TestInstances.payment(prob, i, r.alloc(i)) <= prob.budgets(i) + 1e-6)
     assert(Alloc.disjoint(r.alloc))
   }
 
@@ -19,7 +19,7 @@ class ThresholdGreedySpec extends AnyFunSuite {
     assert(r.b == 0)
     // Fill still runs, so the allocation need not be empty — but feasible.
     for (i <- 0 until prob.h)
-      assert(prob.paymentOf(i, r.alloc(i)) <= prob.budgets(i) + 1e-6)
+      assert(TestInstances.payment(prob, i, r.alloc(i)) <= prob.budgets(i) + 1e-6)
   }
 
   test("b counts depleted advertisers and is within [0,h]") {
@@ -43,7 +43,7 @@ class ThresholdGreedySpec extends AnyFunSuite {
       val prob = TestInstances.randomProbabilisticInstance(seed, n = 5, h = 2)
       val r = ThresholdGreedy.run(prob, gamma)
       for (i <- 0 until prob.h)
-        assert(prob.paymentOf(i, r.alloc(i)) <= prob.budgets(i) + 1e-6,
+        assert(TestInstances.payment(prob, i, r.alloc(i)) <= prob.budgets(i) + 1e-6,
           s"seed=$seed gamma=$gamma ad=$i")
     }
   }
@@ -110,7 +110,7 @@ class ThresholdGreedySpec extends AnyFunSuite {
       val filled = ThresholdGreedy.fill(prob, Alloc.empty(prob.h))
       assert(Alloc.disjoint(filled))
       for (i <- 0 until prob.h)
-        assert(prob.paymentOf(i, filled(i)) <= prob.budgets(i) + 1e-6)
+        assert(TestInstances.payment(prob, i, filled(i)) <= prob.budgets(i) + 1e-6)
     }
   }
 
