@@ -13,9 +13,11 @@ import RRCollection._
   *   π̃(S⃗, R)   = nΓ · |{R : tag(R)=j ∧ S_j ∩ R ≠ ∅}| / |R|      (Lemma 4.1)
   *   π̃_i(S, R)  = nΓ · |{R : tag(R)=i ∧ S ∩ R ≠ ∅}| / |R|
   *
-  * The collection is growable (RMA doubles it) and the index is rebuilt after
-  * appends. With `h = 1` the same class serves as a per-advertiser collection
-  * for the TIM-based baselines.
+  * Sets enter only through [[append]], a whole sampled batch at a time (RMA
+  * grows R₁ by one append per round). It copies the batch into arrays of the
+  * exact new size and rebuilds the index, so the index is always built; a new
+  * collection has an empty one. With `h = 1` the same class serves as a
+  * per-advertiser collection for the TIM-based baselines.
   *
   * Invariant: no RR set lists a member twice (the samplers mark visited
   * nodes), so a node's tag-i index list names distinct sets and its length
@@ -24,6 +26,10 @@ import RRCollection._
   * Declared limits, checked with a message before anything could wrap:
   * h < 128 (the tag is a `Byte`); h·n, the set count and the incidence count
   * within [[RRCollection.MaxArrayLength]] (index keys and offsets are `Int`).
+  * Spark sets a lower, untested limit first: one [[RRSource.appendTo]] ships
+  * all its batches through the task-result path, which
+  * `spark.driver.maxResultSize` caps (1 GiB by default), so an append of about
+  * 250M incidences (4 bytes each) fails there with Spark's message.
   */
 final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueOracle {
 
@@ -39,59 +45,54 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
   val gamma: Double = cpeArr.sum
 
   // ---- flat storage -------------------------------------------------------
-  private var tags: Array[Byte] = new Array[Byte](1024)
-  private var starts: Array[Int] = new Array[Int](1025) // starts(numSets) = totalNodes
-  private var members: Array[Int] = new Array[Int](4096)
-  private var _numSets: Int = 0
-  private var _totalNodes: Int = 0
+  private var tags: Array[Byte] = Array.emptyByteArray
+  private var starts: Array[Int] = Array(0) // starts(numSets) = totalNodes
+  private var members: Array[Int] = Array.emptyIntArray
 
-  def numSets: Int = _numSets
-  def totalNodes: Long = _totalNodes.toLong
+  def numSets: Int = tags.length
+  def totalNodes: Long = members.length.toLong
 
   /** Revenue contribution of one covered set: `nΓ/|R|`. */
-  def scalePerSet: Double = n.toDouble * gamma / _numSets
+  def scalePerSet: Double = n.toDouble * gamma / numSets
 
-  /** Make room for `moreSets` further sets holding `moreNodes` incidences,
-    * failing before any count or offset could pass the declared limits.
+  /** Append packed batches, each per-set tags and sizes plus the sets'
+    * concatenated members, and rebuild the index. The declared sizes are
+    * checked against the set and incidence limits, and then against each
+    * batch's member count, before anything changes. The arrays then grow
+    * once, to the exact new totals, and each batch is copied once.
     */
-  def reserve(moreSets: Int, moreNodes: Long): Unit = {
-    val sets = _numSets.toLong + moreSets
-    val nodes = _totalNodes.toLong + moreNodes
+  def append(batches: Seq[(Array[Byte], Array[Int], Array[Int])]): Unit = {
+    var sets = numSets.toLong
+    var nodes = totalNodes
+    val declared = batches.map { case (batchTags, sizes, _) =>
+      require(sizes.length == batchTags.length, s"${sizes.length} sizes for ${batchTags.length} tags")
+      var total = 0L
+      var s = 0
+      while (s < sizes.length) { total += sizes(s); s += 1 }
+      sets += sizes.length
+      nodes += total
+      total
+    }
     if (sets >= MaxArrayLength)
       throw new IllegalStateException(
         s"RR collection would hold $sets sets; the limit is ${MaxArrayLength - 1}")
     if (nodes > MaxArrayLength)
       throw new IllegalStateException(
         s"RR collection would hold $nodes incidences; the limit is $MaxArrayLength")
-    if (sets > tags.length) {
-      val cap = grownCapacity(tags.length, sets, MaxArrayLength - 1)
-      tags = java.util.Arrays.copyOf(tags, cap)
-      starts = java.util.Arrays.copyOf(starts, cap + 1)
+    for (((_, _, batchMembers), total) <- batches.zip(declared))
+      require(total == batchMembers.length, s"sizes sum to $total but the batch has ${batchMembers.length} members")
+    var sid = numSets
+    var end = members.length
+    tags = java.util.Arrays.copyOf(tags, sets.toInt)
+    starts = java.util.Arrays.copyOf(starts, sets.toInt + 1)
+    members = java.util.Arrays.copyOf(members, nodes.toInt)
+    for ((batchTags, sizes, batchMembers) <- batches) {
+      System.arraycopy(batchTags, 0, tags, sid, batchTags.length)
+      System.arraycopy(batchMembers, 0, members, end, batchMembers.length)
+      var s = 0
+      while (s < sizes.length) { end += sizes(s); sid += 1; starts(sid) = end; s += 1 }
     }
-    if (nodes > members.length)
-      members = java.util.Arrays.copyOf(members, grownCapacity(members.length, nodes, MaxArrayLength))
-  }
-
-  /** Append a packed batch: per-set tags and sizes plus concatenated members,
-    * with one bulk copy of the tags and one of the members. Invalidates the
-    * index until [[rebuildIndex]].
-    */
-  def addPacked(batchTags: Array[Byte], sizes: Array[Int], nodes: Array[Int]): Unit = {
-    val k = batchTags.length
-    require(sizes.length == k, s"${sizes.length} sizes for $k tags")
-    var total = 0L
-    var s = 0
-    while (s < k) { total += sizes(s); s += 1 }
-    reserve(k, total)
-    require(total == nodes.length, s"sizes sum to $total but the batch has ${nodes.length} members")
-    System.arraycopy(batchTags, 0, tags, _numSets, k)
-    System.arraycopy(nodes, 0, members, _totalNodes, nodes.length)
-    var end = _totalNodes
-    s = 0
-    while (s < k) { end += sizes(s); starts(_numSets + s + 1) = end; s += 1 }
-    _numSets += k
-    _totalNodes = end
-    indexValid = false
+    rebuildIndex()
   }
 
   def tagOf(sid: Int): Int = tags(sid)
@@ -101,27 +102,27 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
   // ---- inverted index -----------------------------------------------------
   // For element (u, i): the tag-i sets containing u are
   //   idxSets(idxHead(i*n+u) until idxHead(i*n+u+1))  — heads are global.
-  private var idxHead: Array[Int] = _
-  private var idxSets: Array[Int] = _
-  private var indexValid = false
+  private var idxHead: Array[Int] = new Array[Int](h * n + 1)
+  private var idxSets: Array[Int] = Array.emptyIntArray
 
-  /** Rebuild the inverted index after appends: a stable counting sort of all
-    * incidences by key `i·n+u`, O(total incidences). The sets are cut into
-    * chunks whose size depends on `numSets` only. Each chunk counts its keys
-    * in parallel; one sequential pass over (key, chunk) turns the counts into
-    * write offsets, placing a chunk's sids after those of earlier chunks; each
-    * chunk then scatters in parallel. So every key's sids are ascending and
-    * the index is the same for any thread count.
+  /** Rebuild the inverted index: a stable counting sort of all incidences by
+    * key `i·n+u`, O(total incidences). [[append]] calls it; it is public so a
+    * benchmark can time a second build of the same sets. The sets are cut
+    * into chunks whose size depends on `numSets` only. Each chunk counts its
+    * keys in parallel; one sequential pass over (key, chunk) turns the counts
+    * into write offsets, placing a chunk's sids after those of earlier
+    * chunks; each chunk then scatters in parallel. So every key's sids are
+    * ascending and the index is the same for any thread count.
     */
   def rebuildIndex(): Unit = {
     val keys = h * n
-    val chunkSets = math.max(IndexChunkSets, ((_numSets.toLong + IndexMaxChunks - 1) / IndexMaxChunks).toInt)
-    val chunks = math.max(1, ((_numSets.toLong + chunkSets - 1) / chunkSets).toInt)
+    val chunkSets = math.max(IndexChunkSets, ((numSets.toLong + IndexMaxChunks - 1) / IndexMaxChunks).toInt)
+    val chunks = math.max(1, ((numSets.toLong + chunkSets - 1) / chunkSets).toInt)
     val offsets = new Array[Array[Int]](chunks)
     inParallel(chunks) { c =>
       val cnt = new Array[Int](keys)
       var sid = c * chunkSets
-      val last = math.min(_numSets.toLong, sid.toLong + chunkSets).toInt
+      val last = math.min(numSets.toLong, sid.toLong + chunkSets).toInt
       while (sid < last) {
         val base = tags(sid) * n
         var p = starts(sid)
@@ -141,11 +142,11 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
       k += 1
     }
     heads(keys) = acc
-    val sets = new Array[Int](_totalNodes)
+    val sets = new Array[Int](members.length)
     inParallel(chunks) { c =>
       val pos = offsets(c)
       var sid = c * chunkSets
-      val last = math.min(_numSets.toLong, sid.toLong + chunkSets).toInt
+      val last = math.min(numSets.toLong, sid.toLong + chunkSets).toInt
       while (sid < last) {
         val base = tags(sid) * n
         var p = starts(sid)
@@ -161,28 +162,17 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
     }
     idxHead = heads
     idxSets = sets
-    indexValid = true
   }
 
   /** The index list of (u, i): the tag-i sets containing u, ascending. */
-  private[rrset] def setsContaining(u: Int, i: Int): Array[Int] = {
-    ensureIndex()
+  private[rrset] def setsContaining(u: Int, i: Int): Array[Int] =
     java.util.Arrays.copyOfRange(idxSets, idxHead(i * n + u), idxHead(i * n + u + 1))
-  }
-
-  private def ensureIndex(): Unit = if (!indexValid) rebuildIndex()
 
   /** Number of tag-i sets containing node u (singleton coverage count). */
-  def singletonCount(u: Int, i: Int): Int = {
-    ensureIndex()
-    idxHead(i * n + u + 1) - idxHead(i * n + u)
-  }
+  def singletonCount(u: Int, i: Int): Int = idxHead(i * n + u + 1) - idxHead(i * n + u)
 
   /** Estimated singleton spread `σ̂_i({u}) = n·cnt/E[#tag-i sets]`. */
-  def sigmaSingleton(u: Int, i: Int): Double = {
-    ensureIndex()
-    scalePerSet * singletonCount(u, i) / cpeArr(i)
-  }
+  def sigmaSingleton(u: Int, i: Int): Double = scalePerSet * singletonCount(u, i) / cpeArr(i)
 
   /** `π̃_i({u})` in O(1): u's tag-i list length times the scale. Equal to
     * `piOf(i, Seq(u))` because no set lists a member twice.
@@ -190,12 +180,10 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
   override def piSingle(i: Int, u: Int): Double = singletonCount(u, i) * scalePerSet
 
   /** `π̃_i(X, R)` evaluated from scratch (distinct covered tag-i sets). Each
-    * call marks sets in its own bitset, so calls may run concurrently once
-    * the index is built.
+    * call marks sets in its own bitset, so calls may run concurrently.
     */
   def piOf(i: Int, xs: Iterable[Int]): Double = {
-    ensureIndex()
-    val seen = new Array[Long]((_numSets + 63) >>> 6)
+    val seen = new Array[Long]((numSets + 63) >>> 6)
     var covered = 0
     for (u <- xs) {
       var p = idxHead(i * n + u)
@@ -211,7 +199,7 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
     covered * scalePerSet
   }
 
-  def newSession(): RevenueSession = { ensureIndex(); new CoverageSession(this) }
+  def newSession(): RevenueSession = new CoverageSession(this)
 
   /** Incremental coverage session: `gain(u,i)` is an O(1) lookup of the
     * current count of *uncovered* tag-i sets containing u; `add` marks the
@@ -219,7 +207,7 @@ final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueO
     * is bounded by the collection's incidence count).
     */
   private final class CoverageSession(rr: RRCollection) extends RevenueSession {
-    private val covered = new Array[Boolean](rr._numSets)
+    private val covered = new Array[Boolean](rr.numSets)
     private val cnt: Array[Int] = {
       val c = new Array[Int](rr.h * rr.n)
       var k = 0
@@ -258,10 +246,6 @@ object RRCollection {
   /** Sets per index-build chunk, unless that makes more than [[IndexMaxChunks]]. */
   private val IndexChunkSets = 1 << 16
   private val IndexMaxChunks = 16
-
-  /** Doubled capacity, at least `need` and at most `max`. */
-  private def grownCapacity(cur: Int, need: Long, max: Int): Int =
-    math.max(need, math.min(2L * cur, max.toLong)).toInt
 
   /** Run `body(0 until tasks)` on the common fork-join pool; returns when all are done. */
   private def inParallel(tasks: Int)(body: Int => Unit): Unit =

@@ -49,24 +49,22 @@ final class RRSamplerState(
     * visited node u (the root included) whose bit `ad·n + u` is set; u is
     * then the last member. Until then the draws are those of the full BFS.
     *
-    * `subsim = false`: per-in-edge Bernoulli flips.
+    * `subsim = false`: per-in-edge Bernoulli flips; `picks` may be null.
     * `subsim = true`: SUBSIM's subset sampling (Guo et al., used by the
     * paper's Appendix D.2) at each node v with 0 < pmax < 0.99: draw the
     * number K ~ Binomial(indeg(v), pmax) of in-edges that are live at rate
     * pmax from v's CDF, pick K distinct in-edges uniformly (Floyd's
-    * algorithm, in `picks`, a fresh one if null), and keep each with
+    * algorithm, in `picks`, from [[newPicks]]), and keep each with
     * probability p_e/pmax, without a draw when p_e == pmax (every Weighted
     * Cascade edge). Each in-edge is then live independently with
     * probability p_e, and a node costs O(1 + K) draws, not O(indeg).
     */
   def generate(ad: Int, root: Int, rng: SplittableRandom,
                queue: Array[Int], stamp: Array[Int], cur: Int,
-               subsim: Boolean, stop: Array[Long] = null,
-               picks: RRSamplerState.Picks = null): Int = {
+               subsim: Boolean, stop: Array[Long], picks: RRSamplerState.Picks): Int = {
     val probs = probRev(ad)
     val mp = maxP(ad)
     val cdf = if (subsim) binomCdf(ad) else null
-    val floyd = if (subsim && picks == null) newPicks() else picks
     val base = ad.toLong * n
     var head = 0
     var tail = 0
@@ -99,10 +97,10 @@ final class RRSamplerState(
         var k = 0
         while (x >= cdf(c0 + k)) k += 1
         if (k > 0) {
-          floyd.start()
+          picks.start()
           var j = d - k
           while (j < d) {
-            val p = begin + floyd.pick(j, rng)
+            val p = begin + picks.pick(j, rng)
             val pe = probs(p)
             if (pe == pmax || rng.nextDouble() * pmax < pe) {
               val u = revSrc(p)
@@ -324,16 +322,11 @@ final class RRSource(spark: SparkSession, model: InfluenceModel, val cpeArr: Arr
   }
 
   /** Generate `num` RR sets into flat per-task batches and append them to
-    * `coll`. Each call with a distinct `seed` yields fresh independent sets;
-    * the same `seed` reproduces the same sets.
+    * `coll` in one [[RRCollection.append]]. Each call with a distinct `seed`
+    * yields fresh independent sets; the same `seed` reproduces the same sets.
     */
-  def appendTo(coll: RRCollection, num: Int, seed: Long, subsim: Boolean = false): Unit = {
-    if (num <= 0) return
-    val batches = sample(Seq((num, seed)), subsim)((_, count) => new RRSource.Packer(count))
-    coll.reserve(num, batches.iterator.map(_._3.length.toLong).sum)
-    batches.foreach { case (t, s, nd) => coll.addPacked(t, s, nd) }
-    coll.rebuildIndex()
-  }
+  def appendTo(coll: RRCollection, num: Int, seed: Long, subsim: Boolean = false): Unit =
+    coll.append(sample(Seq((num, seed)), subsim)((_, count) => new RRSource.Packer(count)).toSeq)
 
   /** Fresh collection with `num` sets. */
   def collection(num: Int, seed: Long, subsim: Boolean = false): RRCollection = {

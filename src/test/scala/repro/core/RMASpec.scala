@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph.{ExplicitModel, SocialGraph}
-import repro.rrset.{RRCollection, RRSource, TestSets}
+import repro.rrset.{RRSource, TestSets}
 
 class RMASpec extends SparkSpec {
 
@@ -65,9 +65,7 @@ class RMASpec extends SparkSpec {
   }
 
   test("seekUB never exceeds the trivial bound π̃(S*)/λ") {
-    val rr = new RRCollection(4, Array(1.0))
-    Seq(Array(0), Array(1), Array(0, 1)).foreach(TestSets.append(rr, 0, _))
-    rr.rebuildIndex()
+    val rr = TestSets.collection(4, Array(1.0), Seq(Seq(0), Seq(1), Seq(0, 1)).map((0, _)))
     val alloc: Alloc.Alloc = Vector(Vector(0))
     val z = RMA.seekUB(rr, alloc, None, lambda = 1.0 / 3, h = 1)
     assert(math.abs(z - Alloc.piTotal(rr, alloc) * 3) < 1e-9)
@@ -76,10 +74,8 @@ class RMASpec extends SparkSpec {
   test("seekUB takes each multi-advertiser branch of Alg 7, capped at π̃(S*)/λ") {
     // h = 4 (so b_min = 2); advertiser i's sets are {2i}, {2i+1}, {2i, 2i+1}.
     val h = 4
-    val rr = new RRCollection(2 * h, Array(1.0, 1.5, 2.0, 0.5))
-    for (i <- 0 until h; ms <- Seq(Array(2 * i), Array(2 * i + 1), Array(2 * i, 2 * i + 1)))
-      TestSets.append(rr, i, ms)
-    rr.rebuildIndex()
+    val rr = TestSets.collection(2 * h, Array(1.0, 1.5, 2.0, 0.5),
+      for (i <- 0 until h; ms <- Seq(Seq(2 * i), Seq(2 * i + 1), Seq(2 * i, 2 * i + 1))) yield (i, ms))
     val lam = Search.lambda(h, 0.1)
     val sStar: Alloc.Alloc = Vector.tabulate(h)(i => Vector(2 * i, 2 * i + 1))
     val t1: Alloc.Alloc = Vector.tabulate(h)(i => Vector(2 * i))

@@ -13,12 +13,10 @@ class RMProblemSpec extends AnyFunSuite {
 
   test("singletonPi over an RR collection equals piOf exactly") {
     val rng = new java.util.SplittableRandom(3)
-    val c = new repro.rrset.RRCollection(12, Array(1.0, 2.5, 0.7))
-    for (_ <- 0 until 500) {
-      val ms = Array.fill(1 + rng.nextInt(5))(rng.nextInt(12)).distinct
-      repro.rrset.TestSets.append(c, rng.nextInt(3), ms)
-    }
-    c.rebuildIndex()
+    val c = repro.rrset.TestSets.collection(12, Array(1.0, 2.5, 0.7), Seq.fill(500) {
+      val ms = Seq.fill(1 + rng.nextInt(5))(rng.nextInt(12)).distinct
+      (rng.nextInt(3), ms)
+    })
     val p = new RMProblem(c, Array.fill(3)(10.0), Array.fill(3, 12)(1.0))
     for (i <- 0 until 3; u <- 0 until 12) assert(p.singletonPi(i)(u) == c.piOf(i, Seq(u)))
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.SplittableRandom
 import repro.graph.{ExplicitModel, SocialGraph}
-import repro.rrset.{RRCollection, TestSets}
+import repro.rrset.TestSets
 
 /** Shared tiny fixtures for algorithm tests: deterministic and probabilistic
   * micro-instances with exact oracles, plus a random-instance generator for
@@ -87,12 +87,10 @@ object TestInstances {
   def randomRRInstance(seedVal: Long, n: Int, h: Int, budgetScale: Double, sets: Int = 600): RMProblem = {
     val rng = new SplittableRandom(seedVal)
     val cpe = Array.fill(h)(0.5 + rng.nextDouble())
-    val rr = new RRCollection(n, cpe)
-    for (_ <- 0 until sets) {
-      val members = Array.fill(1 + rng.nextInt(5))(rng.nextInt(n)).distinct
-      TestSets.append(rr, rng.nextInt(h), members)
-    }
-    rr.rebuildIndex()
+    val rr = TestSets.collection(n, cpe, Seq.fill(sets) {
+      val members = Seq.fill(1 + rng.nextInt(5))(rng.nextInt(n)).distinct
+      (rng.nextInt(h), members)
+    })
     val costs = Array.fill(h, n)(0.2 + 2.0 * rng.nextDouble())
     val budgets = Array.tabulate(h) { i =>
       val meanPay = (0 until n).map(u => costs(i)(u) + rr.piSingle(i, u)).sum / n

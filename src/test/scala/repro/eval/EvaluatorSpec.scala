@@ -6,15 +6,8 @@ import repro.rrset.{RRCollection, TestSets}
 
 class EvaluatorSpec extends SparkSpec {
 
-  private def mkColl(): RRCollection = {
-    val c = new RRCollection(5, Array(1.0, 2.0))
-    TestSets.append(c, 0, Array(0, 1))
-    TestSets.append(c, 0, Array(2))
-    TestSets.append(c, 1, Array(1, 3))
-    TestSets.append(c, 1, Array(4))
-    c.rebuildIndex()
-    c
-  }
+  private def mkColl(): RRCollection =
+    TestSets.collection(5, Array(1.0, 2.0), Seq((0, Seq(0, 1)), (0, Seq(2)), (1, Seq(1, 3)), (1, Seq(4))))
 
   private val costs = Array(
     Array(1.0, 2.0, 3.0, 4.0, 5.0),

@@ -34,12 +34,8 @@ object CoverageProperties extends Properties("RRCollection") {
       ms <- Gen.nonEmptyListOf(Gen.chooseNum(0, 9))
     } yield (tag, ms.distinct))
 
-  private def build(sets: List[(Int, List[Int])]): RRCollection = {
-    val c = new RRCollection(10, Array(1.0, 2.0))
-    sets.foreach { case (t, ms) => TestSets.append(c, t, ms.toArray) }
-    c.rebuildIndex()
-    c
-  }
+  private def build(sets: List[(Int, List[Int])]): RRCollection =
+    TestSets.collection(10, Array(1.0, 2.0), sets)
 
   property("piOf is monotone in the seed set") =
     Prop.forAll(genSets, Gen.listOf(Gen.chooseNum(0, 9)), Gen.chooseNum(0, 9)) {

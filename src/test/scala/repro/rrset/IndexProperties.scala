@@ -31,8 +31,7 @@ object IndexProperties extends Properties("RRCollection index") {
     batches <- Gen.listOf(genBatch(h, n))
   } yield {
     val c = new RRCollection(n, Array.fill(h)(1.0))
-    batches.foreach(b => c.addPacked(b.tags, b.sets.map(_.length), b.sets.flatten))
-    c.rebuildIndex()
+    c.append(batches.map(b => (b.tags, b.sets.map(_.length), b.sets.flatten)))
     c
   }
 

@@ -4,12 +4,14 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class RRCollectionSpec extends AnyFunSuite {
 
-  private def mk(n: Int, cpe: Array[Double], sets: Seq[(Int, Seq[Int])]): RRCollection = {
-    val c = new RRCollection(n, cpe)
-    sets.foreach { case (tag, ms) => TestSets.append(c, tag, ms.toArray) }
-    c.rebuildIndex()
-    c
-  }
+  private def mk(n: Int, cpe: Array[Double], sets: Seq[(Int, Seq[Int])]): RRCollection =
+    TestSets.collection(n, cpe, sets)
+
+  /** Do `a` and `b` hold the same sets, tags and index? */
+  private def sameContents(a: RRCollection, b: RRCollection): Boolean =
+    a.numSets == b.numSets && a.totalNodes == b.totalNodes &&
+      (0 until a.numSets).forall(s => a.tagOf(s) == b.tagOf(s) && a.setMembers(s).sameElements(b.setMembers(s))) &&
+      (0 until a.h).forall(i => (0 until a.n).forall(u => a.setsContaining(u, i).sameElements(b.setsContaining(u, i))))
 
   test("stores sets, tags and sizes") {
     val c = mk(5, Array(1.0, 2.0), Seq((0, Seq(0, 1)), (1, Seq(2)), (0, Seq(3, 4, 0))))
@@ -84,31 +86,33 @@ class RRCollectionSpec extends AnyFunSuite {
     assert((0 until 10).forall(u => after(u) <= before(u) + 1e-12))
   }
 
-  test("addPacked equals repeated add") {
-    val c1 = new RRCollection(4, Array(1.0))
-    c1.addPacked(Array[Byte](0, 0), Array(2, 1), Array(0, 1, 2))
-    c1.rebuildIndex()
-    val c2 = mk(4, Array(1.0), Seq((0, Seq(0, 1)), (0, Seq(2))))
-    assert(c1.numSets == c2.numSets)
-    assert(c1.setMembers(0).toSeq == c2.setMembers(0).toSeq)
-    assert(c1.piOf(0, Seq(0)) == c2.piOf(0, Seq(0)))
+  test("one append of k sets equals k one-set appends") {
+    val sets = Seq((0, Seq(0, 1)), (1, Seq(2)), (0, Seq(3, 1, 0)), (1, Seq(1)))
+    val one = mk(4, Array(1.0, 2.0), sets)
+    val each = new RRCollection(4, Array(1.0, 2.0))
+    sets.foreach(set => each.append(Seq(TestSets.batch(Seq(set)))))
+    assert(sameContents(one, each))
+    assert(one.piOf(0, Seq(0)) == each.piOf(0, Seq(0)) && one.piOf(1, Seq(1, 2)) == each.piOf(1, Seq(1, 2)))
   }
 
-  test("growth past initial capacity keeps contents") {
-    val c = new RRCollection(3, Array(1.0))
-    for (k <- 0 until 5000) TestSets.append(c, 0, Array(k % 3))
-    c.rebuildIndex()
-    assert(c.numSets == 5000)
-    assert(c.singletonCount(0, 0) + c.singletonCount(1, 0) + c.singletonCount(2, 0) == 5000)
-  }
-
-  test("appending after index rebuild invalidates and rebuilds correctly") {
-    val c = mk(3, Array(1.0), Seq((0, Seq(0))))
-    assert(c.singletonCount(0, 0) == 1)
-    TestSets.append(c, 0, Array(0))
-    c.rebuildIndex()
-    assert(c.singletonCount(0, 0) == 2)
-    assert(c.scalePerSet == 3.0 / 2)
+  test("a second append equals one append of both batches") {
+    // RMA's R₁ growth: a collection is read, then grown by a further batch.
+    val rng = new java.util.SplittableRandom(13)
+    def sets(k: Int) = Seq.fill(k)((rng.nextInt(2), Seq.fill(1 + rng.nextInt(5))(rng.nextInt(20)).distinct))
+    val (first, second) = (sets(3000), sets(2000))
+    val grown = mk(20, Array(1.0, 3.0), first)
+    assert(grown.numSets == 3000 && IndexProperties.matchesNaive(grown))
+    grown.append(Seq(TestSets.batch(second)))
+    val once = new RRCollection(20, Array(1.0, 3.0))
+    once.append(Seq(TestSets.batch(first), TestSets.batch(second)))
+    assert(grown.numSets == 5000 && grown.totalNodes == (first ++ second).map(_._2.length).sum)
+    for (((tag, ms), sid) <- (first ++ second).zipWithIndex)
+      assert(grown.tagOf(sid) == tag && grown.setMembers(sid).toSeq == ms, s"set $sid")
+    assert(sameContents(grown, once))
+    assert(IndexProperties.matchesNaive(grown))
+    assert(grown.scalePerSet == 20.0 * 4.0 / 5000 && grown.scalePerSet == once.scalePerSet)
+    for (i <- 0 until 2; u <- 0 until 20)
+      assert(grown.piOf(i, Seq(u, (u + 7) % 20)) == once.piOf(i, Seq(u, (u + 7) % 20)))
   }
 
   test("empty seed set has zero estimated revenue") {
@@ -124,12 +128,11 @@ class RRCollectionSpec extends AnyFunSuite {
   test("index of a multi-chunk collection built from several packed batches matches the reference") {
     val rng = new java.util.SplittableRandom(11)
     val c = new RRCollection(50, Array(1.0, 2.0, 0.5))
-    for (_ <- 0 until 5) {
+    c.append(Seq.fill(5) {
       val k = 30000
       val sets = Array.fill(k)(Array.fill(1 + rng.nextInt(4))(rng.nextInt(50)).distinct)
-      c.addPacked(Array.fill(k)(rng.nextInt(3).toByte), sets.map(_.length), sets.flatten)
-    }
-    c.rebuildIndex()
+      (Array.fill(k)(rng.nextInt(3).toByte), sets.map(_.length), sets.flatten)
+    })
     assert(c.numSets == 150000 && c.numSets > 2 * 65536)
     assert(IndexProperties.matchesNaive(c))
   }
@@ -147,15 +150,26 @@ class RRCollectionSpec extends AnyFunSuite {
 
   test("appends past the incidence limit fail with a message before any count wraps") {
     val c = mk(4, Array(1.0), Seq((0, Seq(0, 1))))
-    // `reserve` rejects the declared size before `addPacked` checks it against the members.
+    val before = mk(4, Array(1.0), Seq((0, Seq(0, 1))))
+    // `append` checks the declared sizes against the limits before it checks
+    // them against the member count.
     val e1 = intercept[IllegalStateException](
-      c.addPacked(Array[Byte](0), Array(RRCollection.MaxArrayLength - 1), Array(0)))
+      c.append(Seq((Array[Byte](0), Array(RRCollection.MaxArrayLength - 1), Array(0)))))
     assert(e1.getMessage.contains(s"${RRCollection.MaxArrayLength.toLong + 1} incidences"))
     // These sizes sum to 2^32 - 2, which an Int total would wrap to -2.
     val e2 = intercept[IllegalStateException](
-      c.addPacked(Array[Byte](0, 0), Array(Int.MaxValue, Int.MaxValue), Array(0)))
+      c.append(Seq((Array[Byte](0, 0), Array(Int.MaxValue, Int.MaxValue), Array(0)))))
     assert(e2.getMessage.contains(s"${2L * Int.MaxValue + 2} incidences"))
-    assert(c.numSets == 1 && c.totalNodes == 2 && c.singletonCount(1, 0) == 1)
+    // A failed append leaves the collection as it was.
+    assert(sameContents(c, before) && c.scalePerSet == before.scalePerSet)
+  }
+
+  test("an append whose sizes disagree with its members fails and changes nothing") {
+    val c = mk(4, Array(1.0), Seq((0, Seq(0, 1))))
+    val e = intercept[IllegalArgumentException](
+      c.append(Seq(TestSets.batch(Seq((0, Seq(2)))), (Array[Byte](0), Array(2), Array(3)))))
+    assert(e.getMessage.contains("sizes sum to 2 but the batch has 1 members"))
+    assert(sameContents(c, mk(4, Array(1.0), Seq((0, Seq(0, 1))))))
   }
 
   test("piOf from several threads at once equals the sequential values") {

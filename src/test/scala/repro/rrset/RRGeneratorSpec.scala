@@ -197,9 +197,10 @@ class RRGeneratorSpec extends SparkSpec {
         val r = new SplittableRandom(77)
         val queue = new Array[Int](gw.n)
         val stamp = new Array[Int](gw.n)
+        val picks = st.newPicks()
         (1 to 3000).map { t =>
           val ad = st.sampleAd(r)
-          val sz = st.generate(ad, r.nextInt(gw.n), r, queue, stamp, t, subsim)
+          val sz = st.generate(ad, r.nextInt(gw.n), r, queue, stamp, t, subsim, stop = null, picks = picks)
           ad +: queue.take(sz).toSeq
         }
       }
@@ -252,7 +253,7 @@ class RRGeneratorSpec extends SparkSpec {
         assert(st.sampleAd(rngB) == ad)
         val root = rngA.nextInt(gm.n)
         assert(rngB.nextInt(gm.n) == root)
-        val za = st.generate(ad, root, rngA, qa, sa, t, subsim = false)
+        val za = st.generate(ad, root, rngA, qa, sa, t, subsim = false, stop = null, picks = null)
         val zb = inlineNaiveGenerate(st, ad, root, rngB, qb, sb, t)
         assert(za == zb && java.util.Arrays.equals(qa, 0, za, qb, 0, zb), s"set $t")
       }

@@ -38,8 +38,9 @@ object SamplerProperties extends Properties("RRSamplerState") {
     val queue = new Array[Int](g.n)
     val stamp = new Array[Int](g.n)
     val counts = new Array[Int](g.n)
+    val picks = st.newPicks()
     for (t <- 1 to T) {
-      val sz = st.generate(0, 2, rng, queue, stamp, t, subsim)
+      val sz = st.generate(0, 2, rng, queue, stamp, t, subsim, stop = null, picks = picks)
       for (q <- 1 until sz) counts(queue(q)) += 1
     }
     counts.drop(3)
@@ -80,7 +81,7 @@ object SamplerProperties extends Properties("RRSamplerState") {
       val live = new Array[Int](d + 1)
       val pairs = Array.ofDim[Int](d, d)
       for (t <- 1 to T) {
-        val sz = st.generate(0, 2, rng, queue, stamp, t, subsim = true, picks = picks)
+        val sz = st.generate(0, 2, rng, queue, stamp, t, subsim = true, stop = null, picks = picks)
         live(sz - 1) += 1
         for (a <- 1 until sz; b <- 1 until sz if queue(a) < queue(b)) pairs(queue(a) - 3)(queue(b) - 3) += 1
       }

@@ -1,9 +1,18 @@
 package repro.rrset
 
-/** Appends for hand-built collections in tests. */
+/** Hand-built collections for tests. */
 object TestSets {
 
-  /** Append one RR set holding `members` (distinct) through `addPacked`. */
-  def append(c: RRCollection, tag: Int, members: Array[Int]): Unit =
-    c.addPacked(Array(tag.toByte), Array(members.length), members)
+  /** `sets`, each a tag and its distinct members, packed in order into one
+    * batch for [[RRCollection.append]].
+    */
+  def batch(sets: Seq[(Int, Seq[Int])]): (Array[Byte], Array[Int], Array[Int]) =
+    (sets.map(_._1.toByte).toArray, sets.map(_._2.length).toArray, sets.flatMap(_._2).toArray)
+
+  /** A collection over `n` nodes holding `sets` in order, built by one append. */
+  def collection(n: Int, cpe: Array[Double], sets: Seq[(Int, Seq[Int])]): RRCollection = {
+    val c = new RRCollection(n, cpe)
+    c.append(Seq(batch(sets)))
+    c
+  }
 }
