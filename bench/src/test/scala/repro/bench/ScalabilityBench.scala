@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.{Alloc, CostModel, RMA}
-import repro.eval.Experiments
+import repro.eval.{Evaluator, Experiments, Tables}
 import repro.graph.GraphGen
 
 /** Scalability substrate check (the paper's §5.2.3 setting: Weighted-Cascade,
@@ -20,9 +20,10 @@ class ScalabilityBench extends SparkSpec {
     val env = Experiments.env(spark, spec,
       budgetOverride = Some(Array.fill(Experiments.H)(budget)))
     val costs = env.costs(CostModel.Linear, 0.2)
-    val r = RMA.run(spark, env.model, env.cpe, env.budgets.map(_ / 1.1), costs,
-      RMA.Config(eps = 0.02, delta = 1.0 / env.n, tau = 0.1, rho = 0.1, seed = 17L))
-    val ev = new repro.eval.Evaluator(env.evalColl, costs, env.budgets)
+    val r = RMA.run(spark, env.model, env.cpe, env.budgets.map(_ / (1 + Tables.Rho)), costs,
+      RMA.Config(eps = Tables.EpsRma, delta = 1.0 / env.n, tau = Tables.TauDefault,
+        rho = Tables.Rho, seed = 17L))
+    val ev = new Evaluator(env.evalColl, costs, env.budgets)
     println(f"[scalability] ${spec.name}%-17s h=${Experiments.H}%2d B=$budget%.0f: " +
       f"time=${r.millis / 1e3}%.1f s revenue=${ev.revenue(r.alloc)}%.0f " +
       f"seeds=${Alloc.seedCount(r.alloc)} sets=${r.numSets}")

@@ -3,9 +3,10 @@ package repro.bench
 import repro.SparkSpec
 import repro.eval.Tables
 
-/** Benchmark suites: one per paper table. Each prints the reproduced table
-  * (captured into bench_output.txt by the run instructions); EXPERIMENTS.md
-  * records these numbers next to the paper's.
+/** Benchmark suites: one per paper table, and the one way to run a table.
+  * Each prints the reproduced table; `sbt -batch "bench/test" | tee
+  * bench_output.txt` saves them, and EXPERIMENTS.md records these numbers
+  * next to the paper's.
   *
   * Declared in alphabetical-friendly order; `Test / parallelExecution` is off
   * so the shared SparkSession and the Tables run-cache are reused in sequence.

@@ -18,26 +18,14 @@ final class SingleAdModel(base: InfluenceModel, ad: Int) extends InfluenceModel 
   */
 object TIM {
 
-  /** ln C(n, k) via log-gamma. */
+  /** ln C(n, k) as Σ_{j=1..m} ln((n−m+j)/j), m = min(k, n−k). */
   def logNChooseK(n: Int, k: Int): Double = {
     val kk = math.min(k, n)
-    lgamma(n + 1.0) - lgamma(kk + 1.0) - lgamma(n - kk + 1.0)
-  }
-
-  private def lgamma(x: Double): Double = {
-    // Lanczos approximation — plenty for sample-size formulas.
-    val g = 7.0
-    val c = Array(0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-      771.32342877765313, -176.61502916214059, 12.507343278686905,
-      -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
-    if (x < 0.5) math.log(math.Pi / math.sin(math.Pi * x)) - lgamma(1 - x)
-    else {
-      val xx = x - 1
-      var a = c(0)
-      val t = xx + g + 0.5
-      for (i <- 1 until 9) a += c(i) / (xx + i)
-      0.5 * math.log(2 * math.Pi) + (xx + 0.5) * math.log(t) - t + math.log(a)
-    }
+    val m = math.min(kk, n - kk)
+    var s = 0.0
+    var j = 1
+    while (j <= m) { s += math.log((n - m + j).toDouble / j); j += 1 }
+    s
   }
 
   /** TIM's KptEstimation (Algorithm 2 of [67]): returns a lower bound on

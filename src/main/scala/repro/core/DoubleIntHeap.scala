@@ -6,10 +6,14 @@ package repro.core
   * stale (too high, never too low — marginal gains/rates only decrease).
   * [[LazyGreedy]] pops, recomputes the key, and either takes the element (if
   * still ≥ the next top) or re-pushes it with the fresh key.
+  *
+  * The heap holds at most `capacity` pairs and never grows: every caller
+  * sizes it to its element count, and [[LazyGreedy]] re-pushes only after a
+  * pop.
   */
-final class DoubleIntHeap(initialCapacity: Int = 64) {
-  private var keys = new Array[Double](math.max(4, initialCapacity))
-  private var elems = new Array[Int](math.max(4, initialCapacity))
+final class DoubleIntHeap(capacity: Int) {
+  private val keys = new Array[Double](capacity)
+  private val elems = new Array[Int](capacity)
   private var count = 0
 
   def size: Int = count
@@ -23,10 +27,6 @@ final class DoubleIntHeap(initialCapacity: Int = 64) {
   def topElem: Int = elems(0)
 
   def push(key: Double, elem: Int): Unit = {
-    if (count == keys.length) {
-      keys = java.util.Arrays.copyOf(keys, count * 2)
-      elems = java.util.Arrays.copyOf(elems, count * 2)
-    }
     var i = count
     count += 1
     while (i > 0 && keys((i - 1) / 2) < key) {

@@ -21,15 +21,7 @@ object Tables {
   val EpsRma = 0.02
   val EpsTi = 0.1
 
-  final case class RunStats(
-      algo: String,
-      alloc: Alloc,
-      millis: Long,
-      revenue: Double,
-      seedCost: Double,
-      seeds: Int,
-      sets: Long,
-  )
+  final case class RunStats(alloc: Alloc, millis: Long, revenue: Double, seedCost: Double, seeds: Int)
 
   /** Cache of algorithm runs keyed by (dataset, algo, costModel, α, τ, subsim)
     * — Table 5 reuses Table 3's baseline runs (they do not depend on τ), as
@@ -45,23 +37,22 @@ object Tables {
       val costs = env.costs(cm, alpha)
       val evaluator = new Evaluator(env.evalColl, costs, env.budgets)
       val rmaBudgets = env.budgets.map(_ / (1 + Rho))
-      val (alloc, ms, sets) = algo match {
+      val (alloc, ms) = algo match {
         case "RMA" =>
           val r = RMA.run(spark, env.model, env.cpe, rmaBudgets, costs,
             RMA.Config(eps = EpsRma, delta = 1.0 / env.n, tau = tau, rho = Rho,
               subsim = subsim, seed = 42L))
-          (r.alloc, r.millis, 2L * r.numSets)
+          (r.alloc, r.millis)
         case "TI-CARM" =>
           val r = TICARM.tiCarm(spark, env.model, env.cpe, env.budgets, costs,
             TICARM.Config(eps = EpsTi, seed = 7L, subsim = subsim))
-          (r.alloc, r.millis, r.totalSetsGenerated)
+          (r.alloc, r.millis)
         case "TI-CSRM" =>
           val r = TICARM.tiCsrm(spark, env.model, env.cpe, env.budgets, costs,
             TICARM.Config(eps = EpsTi, seed = 7L, subsim = subsim))
-          (r.alloc, r.millis, r.totalSetsGenerated)
+          (r.alloc, r.millis)
       }
-      RunStats(algo, alloc, ms, evaluator.revenue(alloc), evaluator.seedCost(alloc),
-        Alloc.seedCount(alloc), sets)
+      RunStats(alloc, ms, evaluator.revenue(alloc), evaluator.seedCost(alloc), Alloc.seedCount(alloc))
     })
   }
 

@@ -234,36 +234,27 @@ object RRSamplerState {
   def apply(model: InfluenceModel, cpe: Array[Double]): RRSamplerState = {
     val g = model.graph
     val h = cpe.length
-    val byEdge = Array.tabulate(h)(model.prob)
-    val owner = Array.tabulate(h)(i => byEdge.indexWhere(_ eq byEdge(i)))
-    val probRev = new Array[Array[Double]](h)
-    val maxP = new Array[Array[Double]](h)
-    for (i <- 0 until h) {
-      if (owner(i) < i) {
-        probRev(i) = probRev(owner(i))
-        maxP(i) = maxP(owner(i))
-      } else {
-        val rev = new Array[Double](g.m)
-        var p = 0
-        while (p < g.m) { rev(p) = byEdge(i)(g.revEdge(p)); p += 1 }
-        val mp = new Array[Double](g.n)
-        var v = 0
-        while (v < g.n) {
-          p = g.revHead(v)
-          var mx = 0.0
-          while (p < g.revHead(v + 1)) { if (rev(p) > mx) mx = rev(p); p += 1 }
-          mp(v) = mx
-          v += 1
-        }
-        probRev(i) = rev
-        maxP(i) = mp
+    val built = new java.util.IdentityHashMap[Array[Double], (Array[Double], Array[Double])]
+    val tables = Array.tabulate(h)(i => built.computeIfAbsent(model.prob(i), byEdge => {
+      val rev = new Array[Double](g.m)
+      var p = 0
+      while (p < g.m) { rev(p) = byEdge(g.revEdge(p)); p += 1 }
+      val mp = new Array[Double](g.n)
+      var v = 0
+      while (v < g.n) {
+        p = g.revHead(v)
+        var mx = 0.0
+        while (p < g.revHead(v + 1)) { if (rev(p) > mx) mx = rev(p); p += 1 }
+        mp(v) = mx
+        v += 1
       }
-    }
+      (rev, mp)
+    }))
     val cum = new Array[Double](h)
     var acc = 0.0
     var i = 0
     while (i < h) { acc += cpe(i); cum(i) = acc; i += 1 }
-    new RRSamplerState(g.n, g.revHead, g.revSrc, probRev, cum, maxP)
+    new RRSamplerState(g.n, g.revHead, g.revSrc, tables.map(_._1), cum, tables.map(_._2))
   }
 }
 

