@@ -109,12 +109,9 @@ object TICARM {
     }
     // Every live element i·n + u, pushed in (i, u) order; under TI-CSRM a
     // zero-gain element is left out.
-    def liveHeap(): DoubleIntHeap = {
-      val heap = new DoubleIntHeap(n * h)
-      for (e <- 0 until n * h if !dead(e) && (!costSensitive || sessions(e / n).gain(e % n, 0) > 0))
-        heap.push(keyOf(e), e)
-      heap
-    }
+    def liveHeap(): DoubleIntHeap =
+      DoubleIntHeap.of(0 until n * h)(
+        e => !dead(e) && (!costSensitive || sessions(e / n).gain(e % n, 0) > 0), keyOf)
 
     // A regeneration moves that advertiser's keys both ways, so the lazy run
     // stops after one and the heap is rebuilt with fresh keys.

@@ -7,9 +7,9 @@ package repro.core
   * [[LazyGreedy]] pops, recomputes the key, and either takes the element (if
   * still ≥ the next top) or re-pushes it with the fresh key.
   *
-  * The heap holds at most `capacity` pairs and never grows: every caller
-  * sizes it to its element count, and [[LazyGreedy]] re-pushes only after a
-  * pop.
+  * The heap holds at most `capacity` pairs and never grows:
+  * [[DoubleIntHeap.of]] sizes it to its element count, and [[LazyGreedy]]
+  * re-pushes only after a pop.
   */
 final class DoubleIntHeap(capacity: Int) {
   private val keys = new Array[Double](capacity)
@@ -53,15 +53,23 @@ final class DoubleIntHeap(capacity: Int) {
     }
     keys(i) = k; elems(i) = e
   }
+}
 
-  /** An independent heap with the same pairs in the same array layout, so
-    * equal keys pop in the same order from both.
+object DoubleIntHeap {
+
+  /** The heap every lazy greedy run starts from: sized to `elems`, holding
+    * each element `e` with `keep(e)` under `key(e)`. Elements are pushed in
+    * `elems` order; that order fixes the heap layout, and so which of two
+    * equal keys pops first.
     */
-  def copy(): DoubleIntHeap = {
-    val c = new DoubleIntHeap(keys.length)
-    System.arraycopy(keys, 0, c.keys, 0, count)
-    System.arraycopy(elems, 0, c.elems, 0, count)
-    c.count = count
-    c
+  def of(elems: IndexedSeq[Int])(keep: Int => Boolean, key: Int => Double): DoubleIntHeap = {
+    val heap = new DoubleIntHeap(elems.size)
+    var j = 0
+    while (j < elems.size) {
+      val e = elems(j)
+      if (keep(e)) heap.push(key(e), e)
+      j += 1
+    }
+    heap
   }
 }

@@ -27,9 +27,8 @@ object Greedy {
     val b = prob.budgets(i)
     val costs = prob.costs(i)
     def rate(u: Int): Double = sess.rate(u, i, costs(u))
-    val heap = new DoubleIntHeap(candidates.size)
     // Line 1: drop individually infeasible candidates.
-    for (u <- candidates if prob.elementFeasible(i, u)) heap.push(rate(u), u)
+    val heap = DoubleIntHeap.of(candidates)(prob.elementFeasible(i, _), rate)
 
     val s = Vector.newBuilder[Int]
     var costS = 0.0

@@ -26,27 +26,10 @@ final class RMProblem(
     Array.tabulate(h)(i => Array.tabulate(n)(u => oracle.piSingle(i, u)))
 
   /** A heap of every individually feasible element (i, u), stored as
-    * `i·n + u`, keyed by `key(i, u)` and pushed in (i, u) order. The push
-    * order fixes the heap layout, and so which of two equal keys pops first.
+    * `i·n + u`, keyed by `key(i, u)` and pushed in (i, u) order.
     */
-  def feasibleHeap(key: (Int, Int) => Double): DoubleIntHeap = {
-    val heap = new DoubleIntHeap(n * h)
-    var i = 0
-    while (i < h) {
-      var u = 0
-      while (u < n) {
-        if (elementFeasible(i, u)) heap.push(key(i, u), i * n + u)
-        u += 1
-      }
-      i += 1
-    }
-    heap
-  }
-
-  /** ThresholdGreedy's initial heap M, keyed by π_i({u}). It does not depend
-    * on γ, so each call takes a [[DoubleIntHeap.copy]] of it.
-    */
-  private[core] lazy val thresholdHeap: DoubleIntHeap = feasibleHeap(singletonPi(_)(_))
+  def feasibleHeap(key: (Int, Int) => Double): DoubleIntHeap =
+    DoubleIntHeap.of(0 until n * h)(e => elementFeasible(e / n, e % n), e => key(e / n, e % n))
 
   /** Is element (u,i) individually budget-feasible: `c_i(u)+π_i({u}) ≤ B_i`? */
   def elementFeasible(i: Int, u: Int): Boolean =

@@ -64,9 +64,6 @@ object Search {
   def run(prob: RMProblem, tau: Double, bMin: Int): SearchResult = {
     val h = prob.h
     val minCpe = (0 until h).map(prob.oracle.cpe).min
-    // Lazy state the calls share, built once before any of them runs.
-    prob.gammaMax
-    prob.thresholdHeap
     def stops(g1: Double, g2: Double, iters: Int): Boolean =
       ((1 + tau) * g1 >= g2) || (g2 <= minCpe / (h + 6)) || iters >= MaxIters
 

@@ -13,8 +13,8 @@ import Alloc.Alloc
   * `{S_i, D_i, A_i}` and `Fill` then greedily (by rate) tops up every
   * advertiser whose budget is not yet depleted.
   *
-  * A call reads the problem and its oracle but writes only its own
-  * sessions, so calls for different γ may run concurrently (Search does).
+  * A call reads the problem and its oracle but writes only its own heaps
+  * and sessions, so calls for different γ may run concurrently (Search does).
   */
 object ThresholdGreedy {
 
@@ -42,7 +42,7 @@ object ThresholdGreedy {
     var depleted = 0
 
     // M: all individually feasible elements, keyed by marginal gain.
-    LazyGreedy.run(prob.thresholdHeap.copy(), cancelled, e => sess.gain(e % n, e / n)) { (e, g) =>
+    LazyGreedy.run(prob.feasibleHeap(prob.singletonPi(_)(_)), cancelled, e => sess.gain(e % n, e / n)) { (e, g) =>
       // (u, ad) is the max-marginal-gain element of M; it is now removed.
       val ad = e / n; val u = e % n
       val c = prob.costs(ad)(u)

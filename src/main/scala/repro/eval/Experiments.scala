@@ -62,23 +62,24 @@ object Experiments {
 
   /** Build (and cache) the environment for a dataset spec. TIC model for
     * lastfm/flixster (the paper learns probabilities from their action logs),
-    * Weighted-Cascade for dblp/livejournal (as in §5.2.3).
+    * Weighted-Cascade for dblp/livejournal (as in §5.2.3). Only lastfm and
+    * flixster have Table 2 budgets; any other dataset needs `budgetOverride`,
+    * and fails before its graph is built without one.
     */
   def env(spark: SparkSession, spec: GraphGen.DatasetSpec,
           budgetOverride: Option[Array[Double]] = None): Env =
     cache.getOrElseUpdate(spec.name + budgetOverride.map(_.mkString(",")).getOrElse(""), {
+      val budgets = budgetOverride.getOrElse(spec.name match {
+        case "lastfm-lite"   => lastfmBudgets
+        case "flixster-lite" => flixsterBudgets
+        case other => throw new IllegalArgumentException(
+          s"$other has no Table 2 budgets: pass budgetOverride to Experiments.env")
+      })
       val g = GraphGen.graph(spark, spec)
       val model: InfluenceModel = spec.name match {
         case "lastfm-lite"   => InfluenceModels.lastfmTic(g, H)
         case "flixster-lite" => InfluenceModels.flixsterTic(g, H)
         case _               => new WeightedCascade(g, H)
-      }
-      val budgets = budgetOverride.getOrElse {
-        spec.name match {
-          case "lastfm-lite"   => lastfmBudgets
-          case "flixster-lite" => flixsterBudgets
-          case _               => Array.fill(H)(10000.0)
-        }
       }
       val source = new RRSource(spark, model, cpes)
       val calib = source.collection(calibSets(g.n), seed = 90001L)

@@ -61,4 +61,49 @@ class DoubleIntHeapSpec extends AnyFunSuite {
     h.push(-5, 0); h.push(-1, 1); h.push(-3, 2)
     assert(h.topKey == -1.0)
   }
+
+  private def drain(h: DoubleIntHeap): List[(Double, Int)] =
+    List.fill(h.size) { val p = (h.topKey, h.topElem); h.removeTop(); p }
+
+  /** A heap sized to `elems`, built by pushing the kept pairs one by one. */
+  private def pushed(elems: IndexedSeq[Int], keep: Int => Boolean, key: Int => Double): DoubleIntHeap = {
+    val h = new DoubleIntHeap(elems.size)
+    elems.foreach(e => if (keep(e)) h.push(key(e), e))
+    h
+  }
+
+  test("of holds exactly the kept elements, sized to elems") {
+    val elems = Vector(9, 4, 7, 1, 12, 3)
+    val h = DoubleIntHeap.of(elems)(_ % 3 != 0, _ * 0.5)
+    assert(drain(h) == List((3.5, 7), (2.0, 4), (0.5, 1)))
+    // Capacity is elems.size, not the kept count: three more pushes fit, a
+    // fourth does not.
+    val c = DoubleIntHeap.of(elems)(_ % 3 != 0, _ * 0.5)
+    (0 until 3).foreach(c.push(1.0, _))
+    assert(c.size == elems.size)
+    assertThrows[ArrayIndexOutOfBoundsException](c.push(1.0, 99))
+  }
+
+  test("of pops equal keys in the order of one-by-one pushes") {
+    val rng = new SplittableRandom(3)
+    val elems = (0 until 500).map(_ => rng.nextInt(10_000))
+    val keys = elems.map(e => e -> (rng.nextInt(4) * 0.25)).toMap
+    val of = drain(DoubleIntHeap.of(elems)(_ => true, keys))
+    assert(of == drain(pushed(elems, _ => true, keys)))
+    assert(of.map(_._1).distinct.size == 4) // many ties per key
+  }
+
+  test("of under a TI-CARM-like filter pops in the order of one-by-one pushes") {
+    // Elements i·n + u; an assigned node or terminated advertiser is dead,
+    // and under TI-CSRM a zero-gain element is left out.
+    val n = 40; val h = 5
+    val rng = new SplittableRandom(5)
+    val assigned = Array.fill(n)(rng.nextInt(4) == 0)
+    val terminated = Array.tabulate(h)(_ == 2)
+    val gain = Array.fill(n * h)(rng.nextInt(3).toDouble)
+    val keep: Int => Boolean = e => !terminated(e / n) && !assigned(e % n) && gain(e) > 0
+    val of = DoubleIntHeap.of(0 until n * h)(keep, gain)
+    assert(of.size == (0 until n * h).count(keep))
+    assert(drain(of) == drain(pushed(0 until n * h, keep, gain)))
+  }
 }

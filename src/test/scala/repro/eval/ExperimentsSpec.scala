@@ -71,6 +71,11 @@ class ExperimentsSpec extends SparkSpec {
       assert(math.abs(c5(0)(u) - 5 * c1(0)(u)) < 1e-9)
   }
 
+  test("env of a dataset without Table 2 budgets asks for budgetOverride") {
+    val e = intercept[IllegalArgumentException](Experiments.env(spark, GraphGen.Dblp))
+    assert(e.getMessage.contains("dblp-lite") && e.getMessage.contains("budgetOverride"))
+  }
+
   test("env is cached: second call returns the same instance") {
     val a = Experiments.env(spark, GraphGen.Lastfm)
     val b = Experiments.env(spark, GraphGen.Lastfm)
