@@ -1,5 +1,6 @@
 package repro.baselines
 
+import scala.collection.mutable.ArrayBuffer
 import org.apache.spark.sql.SparkSession
 import repro.core.{DoubleIntHeap, LazyGreedy, RevenueSession}
 import repro.core.Alloc.Alloc
@@ -72,8 +73,7 @@ object TICARM {
     val sVec = Array.fill(h)(1)
     val colls = new Array[RRCollection](h)
     val sessions = new Array[RevenueSession](h)
-    val sLists = Array.fill(h)(Vector.newBuilder[Int])
-    val sSizes = new Array[Int](h)
+    val sLists = Array.fill(h)(ArrayBuffer.empty[Int])
     val costS = new Array[Double](h)
     val terminated = new Array[Boolean](h)
 
@@ -85,7 +85,7 @@ object TICARM {
       colls(i) = null
       sessions(i) = null
       regens += 1
-      val k = math.max(1, sVec(i))
+      val k = sVec(i)
       val (kpt, kptSets) =
         TIM.kptEstimate(sources(i), model.graph, k, cfg.ell, cfg.seed * 31 + i * 7 + regens, cfg.subsim)
       totalGenerated += kptSets
@@ -95,7 +95,7 @@ object TICARM {
       peakSets = math.max(peakSets, currentSets)
       // Rebuild the session by replaying S_i.
       val sess = colls(i).newSession()
-      sLists(i).result().foreach(u => sess.add(u, 0))
+      sLists(i).foreach(sess.add(_, 0))
       sessions(i) = sess
     }
 
@@ -132,12 +132,11 @@ object TICARM {
             sessions(ad).add(u, 0)
             costS(ad) += c
             sLists(ad) += u
-            sSizes(ad) += 1
             assigned(u) = true
-            if (sSizes(ad) >= sVec(ad)) {
+            if (sLists(ad).size >= sVec(ad)) {
               val remaining = budgets(ad) - costS(ad) - sessions(ad).pi(0) * (1 + cfg.eps)
-              val newS = sizeUpper(ad, sSizes(ad), math.max(0.0, remaining))
-              if (newS <= sSizes(ad)) terminated(ad) = true
+              val newS = sizeUpper(ad, sLists(ad).size, math.max(0.0, remaining))
+              if (newS <= sLists(ad).size) terminated(ad) = true
               else { sVec(ad) = newS; regenerate(ad); regenerated = true }
             }
           } else terminated(ad) = true
@@ -146,7 +145,7 @@ object TICARM {
       }
     }
 
-    Result(Vector.tabulate(h)(j => sLists(j).result()),
+    Result(Vector.tabulate(h)(sLists(_).toVector),
       (System.nanoTime() - t0) / 1000000L, totalGenerated, peakSets, regens)
   }
 

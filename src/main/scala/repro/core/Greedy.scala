@@ -23,30 +23,21 @@ object Greedy {
     */
   private[core] def scored(prob: RMProblem, candidates: IndexedSeq[Int], i: Int,
                            cancelled: AtomicBoolean = LazyGreedy.NeverCancelled): (IndexedSeq[Int], Double) = {
-    val sess = prob.oracle.newSession()
-    val b = prob.budgets(i)
-    val costs = prob.costs(i)
-    def rate(u: Int): Double = sess.rate(u, i, costs(u))
+    val sd = Seeding.empty(prob)
+    def rate(u: Int): Double = sd.rate(i, u)
     // Line 1: drop individually infeasible candidates.
     val heap = DoubleIntHeap.of(candidates)(prob.elementFeasible(i, _), rate)
 
-    val s = Vector.newBuilder[Int]
-    var costS = 0.0
     var d = -1
     LazyGreedy.run(heap, cancelled, rate) { (u, _) =>
       // u is the true argmax of ζ_i(·|S_i)
-      val g = sess.gain(u, i)
-      val fits = costS + costs(u) + sess.pi(i) + g <= b + 1e-9
-      if (fits) {
-        sess.add(u, i)
-        costS += costs(u)
-        s += u
-      } else d = u // D_i nonempty stops the loop
+      val fits = sd.fits(i, u, sd.sess.gain(u, i))
+      if (fits) sd.add(i, u)
+      else d = u // D_i nonempty stops the loop
       fits
     }
-    val sSet = s.result()
-    val piS = sess.pi(i)
+    val piS = sd.sess.pi(i)
     val piD = if (d >= 0) prob.singletonPi(i)(d) else -1.0
-    if (piD > piS) (Vector(d), piD) else (sSet, piS)
+    if (piD > piS) (Vector(d), piD) else (sd.alloc(i), piS)
   }
 }

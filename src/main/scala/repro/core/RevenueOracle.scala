@@ -46,9 +46,6 @@ trait RevenueSession {
 
   /** `π_i(S_i)` under the current allocation. */
   def pi(i: Int): Double
-
-  /** Marginal rate `ζ_i(u | S_i)` for seed cost `cost = c_i(u)`. */
-  final def rate(u: Int, i: Int, cost: Double): Double = RevenueSession.rate(gain(u, i), cost)
 }
 
 object RevenueSession {

@@ -14,7 +14,7 @@ import Alloc.Alloc
   * advertiser whose budget is not yet depleted.
   *
   * A call reads the problem and its oracle but writes only its own heaps
-  * and sessions, so calls for different γ may run concurrently (Search does).
+  * and seedings, so calls for different γ may run concurrently (Search does).
   */
 object ThresholdGreedy {
 
@@ -33,114 +33,69 @@ object ThresholdGreedy {
   private[core] def run(prob: RMProblem, gamma: Double, cancelled: AtomicBoolean): TGResult = {
     LazyGreedy.checkCancelled(cancelled)
     val n = prob.n; val h = prob.h
-    val sess = prob.oracle.newSession()
-
-    val assigned = new Array[Boolean](n) // in ∪_j (S_j ∪ D_j)
-    val dOf = Array.fill(h)(-1)          // stopple node per advertiser
-    val sLists = Array.fill(h)(Vector.newBuilder[Int])
-    val costS = new Array[Double](h)
+    val sd = Seeding.empty(prob)
+    val dOf = Array.fill(h)(-1)            // stopple node per advertiser
+    val stopple = new Array[Boolean](n)    // in ∪_j D_j; never a seed, so Fill sees it free
     var depleted = 0
 
     // M: all individually feasible elements, keyed by marginal gain.
-    LazyGreedy.run(prob.feasibleHeap(prob.singletonPi(_)(_)), cancelled, e => sess.gain(e % n, e / n)) { (e, g) =>
+    LazyGreedy.run(prob.feasibleHeap(prob.singletonPi(_)(_)), cancelled, e => sd.sess.gain(e % n, e / n)) { (e, g) =>
       // (u, ad) is the max-marginal-gain element of M; it is now removed.
       val ad = e / n; val u = e % n
-      val c = prob.costs(ad)(u)
-      val thresholdOk = RevenueSession.rate(g, c) >= gamma / prob.budgets(ad) - 1e-12
-      if (thresholdOk && dOf(ad) < 0 && !assigned(u)) {
-        if (costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-          sess.add(u, ad)
-          costS(ad) += c
-          sLists(ad) += u
-          assigned(u) = true
-        } else {
+      val thresholdOk = RevenueSession.rate(g, prob.costs(ad)(u)) >= gamma / prob.budgets(ad) - 1e-12
+      if (thresholdOk && dOf(ad) < 0 && !sd.has(u) && !stopple(u)) {
+        if (sd.fits(ad, u, g)) sd.add(ad, u)
+        else {
           dOf(ad) = u
-          assigned(u) = true
+          stopple(u) = true
           depleted += 1
         }
       }
       depleted != h
     }
 
-    val s: Array[IndexedSeq[Int]] = sLists.map(_.result())
+    val s = sd.alloc
     val b = depleted
 
     // Line 9–10: single-depleted fallback Greedy over V minus all S_j.
     val aFallback: Array[(IndexedSeq[Int], Double)] = Array.fill(h)((Vector.empty, 0.0))
     if (b == 1) {
       val ad = dOf.indexWhere(_ >= 0)
-      val inS = new Array[Boolean](n)
-      s.foreach(_.foreach(inS(_) = true))
-      val candidates = (0 until n).filter(!inS(_)).toVector
-      aFallback(ad) = Greedy.scored(prob, candidates, ad, cancelled)
+      aFallback(ad) = Greedy.scored(prob, (0 until n).filter(!sd.has(_)), ad, cancelled)
     }
 
     // Line 11: per advertiser keep the first best of {S_j, D_j, A_j}. S_j is
-    // scored by the session, which holds exactly the S_j (never a D_j).
+    // scored by the seeding's session, which holds exactly the S_j.
     var keptS = true
     val sPrime: Alloc = Vector.tabulate(h) { j =>
       val d = dOf(j)
       val (a, piA) = aFallback(j)
-      var best = s(j); var piBest = sess.pi(j)
+      var best = s(j); var piBest = sd.sess.pi(j)
       val piD = if (d >= 0) prob.singletonPi(j)(d) else 0.0
       if (piD > piBest) { best = Vector(d); piBest = piD; keptS = false }
       if (piA > piBest) { best = a; keptS = false }
       best
     }
 
-    // When every advertiser kept S_j, the session is the one a fresh session
-    // reaches by adding S⃗′, so Fill continues it.
-    val (alloc, pi) = fillFrom(prob, sPrime, if (keptS) sess else sessionOf(prob, sPrime), cancelled)
-    TGResult(alloc, b, pi)
+    // When every advertiser kept S_j, the seeding is S⃗′, so Fill continues it.
+    val filled = fillFrom(prob, if (keptS) sd else Seeding.of(prob, sPrime), cancelled)
+    TGResult(filled.alloc, b, filled.pi)
   }
 
   /** Algorithm 3 — Fill(S⃗): greedy top-up by marginal rate until all budgets
     * are depleted or no feasible element remains.
     */
   def fill(prob: RMProblem, start: Alloc): Alloc =
-    fillFrom(prob, start, sessionOf(prob, start), LazyGreedy.NeverCancelled)._1
+    fillFrom(prob, Seeding.of(prob, start), LazyGreedy.NeverCancelled).alloc
 
-  /** A fresh session holding `alloc`. */
-  private def sessionOf(prob: RMProblem, alloc: Alloc): RevenueSession = {
-    val sess = prob.oracle.newSession()
-    var i = 0
-    while (i < prob.h) { alloc(i).foreach(sess.add(_, i)); i += 1 }
-    sess
-  }
-
-  /** Fill from `start`, continuing `sess`, which must hold exactly `start`.
-    * Returns the allocation and its π(S⃗) read off the session.
-    */
-  private def fillFrom(prob: RMProblem, start: Alloc, sess: RevenueSession,
-                       cancelled: AtomicBoolean): (Alloc, Double) = {
-    val n = prob.n; val h = prob.h
-    val assigned = new Array[Boolean](n)
-    val costS = new Array[Double](h)
-    val out = Array.tabulate(h)(i => Vector.newBuilder[Int] ++= start(i))
-    var i = 0
-    while (i < h) {
-      for (u <- start(i)) {
-        costS(i) += prob.costs(i)(u)
-        assigned(u) = true
-      }
-      i += 1
-    }
-    def rate(ad: Int, u: Int): Double = sess.rate(u, ad, prob.costs(ad)(u))
-    LazyGreedy.run(prob.feasibleHeap(rate), cancelled, e => rate(e / n, e % n)) { (e, _) =>
+  /** Fill continuing `sd`; returns it grown. */
+  private def fillFrom(prob: RMProblem, sd: Seeding, cancelled: AtomicBoolean): Seeding = {
+    val n = prob.n
+    LazyGreedy.run(prob.feasibleHeap(sd.rate), cancelled, e => sd.rate(e / n, e % n)) { (e, _) =>
       val ad = e / n; val u = e % n
-      val g = sess.gain(u, ad)
-      val c = prob.costs(ad)(u)
-      if (!assigned(u) && costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-        sess.add(u, ad)
-        costS(ad) += c
-        out(ad) += u
-        assigned(u) = true
-      }
+      if (!sd.has(u) && sd.fits(ad, u, sd.sess.gain(u, ad))) sd.add(ad, u)
       true // element removed from M either way
     }
-    var pi = 0.0
-    i = 0
-    while (i < h) { pi += sess.pi(i); i += 1 }
-    (Vector.tabulate(h)(j => out(j).result()), pi)
+    sd
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{LazyGreedy, RMProblem}
+import repro.core.{LazyGreedy, RMProblem, Seeding}
 import repro.core.Alloc.Alloc
 
 /** Aslay et al.'s oracle-mode baselines (§2.2):
@@ -20,37 +20,27 @@ object OracleGreedy {
 
   def run(prob: RMProblem, costSensitive: Boolean): Alloc = {
     val n = prob.n; val h = prob.h
-    val sess = prob.oracle.newSession()
-    val assigned = new Array[Boolean](n)
+    val sd = Seeding.empty(prob)
     val terminated = new Array[Boolean](h)
-    val costS = new Array[Double](h)
-    val out = Array.fill(h)(Vector.newBuilder[Int])
     var active = h
 
-    def key(i: Int, u: Int): Double =
-      if (costSensitive) sess.rate(u, i, prob.costs(i)(u)) else sess.gain(u, i)
-    def dead(e: Int): Boolean = terminated(e / n) || assigned(e % n)
+    def key(i: Int, u: Int): Double = if (costSensitive) sd.rate(i, u) else sd.sess.gain(u, i)
+    def dead(e: Int): Boolean = terminated(e / n) || sd.has(e % n)
     // A dead element is dropped before its key is recomputed: its key is +∞,
     // which is never stale, and `take` skips it.
     LazyGreedy.run(prob.feasibleHeap(key), LazyGreedy.NeverCancelled,
                    e => if (dead(e)) Double.PositiveInfinity else key(e / n, e % n)) { (e, _) =>
       if (!dead(e)) {
         val ad = e / n; val u = e % n
-        val g = sess.gain(u, ad)
-        val c = prob.costs(ad)(u)
-        if (costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-          sess.add(u, ad)
-          costS(ad) += c
-          out(ad) += u
-          assigned(u) = true
-        } else {
+        if (sd.fits(ad, u, sd.sess.gain(u, ad))) sd.add(ad, u)
+        else {
           terminated(ad) = true
           active -= 1
         }
       }
       active > 0
     }
-    Vector.tabulate(h)(j => out(j).result())
+    sd.alloc
   }
 
   def caGreedy(prob: RMProblem): Alloc = run(prob, costSensitive = false)
